@@ -3,8 +3,7 @@
 The attack repeatedly steps along the sign of the cross-entropy gradient for
 the true label, then projects back onto the epsilon ball around the original
 image and the [0, 1] pixel box. ``delta_acc`` and ``rank_models`` turn clean
-and adversarial accuracies into the drop metric and the robustness ordering;
-``write_robustness_csv`` emits the two-decimal report table.
+and adversarial accuracies into the drop metric and the robustness ordering.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "adv_accuracy",
     "delta_acc",
     "rank_models",
-    "write_robustness_csv",
 ]
 
 
@@ -146,11 +144,3 @@ def rank_models(reports) -> list[RobustnessReport]:
     if not reports:
         raise ValueError("rank_models needs at least one report")
     return sorted(reports, key=lambda r: (-r.adv_acc, r.delta_acc, r.model_id))
-
-
-def write_robustness_csv(reports, path) -> None:
-    lines = ["model,clean_acc,adv_acc,delta_acc"]
-    for r in reports:
-        lines.append(f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

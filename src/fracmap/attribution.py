@@ -330,4 +330,14 @@ def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path=None, extra=None)
             fh.write("\n".join(lines) + "\n")
 
 
-METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
+# Method name -> map builder called as ``METHODS[name](model, x, c, occ_cfg,
+# path_cfg, ref)``; each builder reads only the inputs its method needs. The
+# methods are looked up when a builder runs, so a rebound name is honoured.
+METHODS = {
+    "saliency": lambda model, x, c, occ_cfg, path_cfg, ref: saliency(model, x, c),
+    "occlusion": lambda model, x, c, occ_cfg, path_cfg, ref: occlusion(model, x, c, occ_cfg),
+    "deeplift": lambda model, x, c, occ_cfg, path_cfg, ref: deeplift(model, x, c, ref),
+    "integrated_gradients": lambda model, x, c, occ_cfg, path_cfg, ref: integrated_gradients(
+        model, x, c, path_cfg
+    ),
+}

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class TapeError(RuntimeError):
-    """Raised when a tape is reused after its single reverse pass or replay mismatch."""
+    """Raised when a tape is reused after its single reverse pass."""
 
 
 @dataclass
@@ -47,22 +47,12 @@ class Tape:
     """Record of one forward evaluation: per-layer saved values plus the output.
 
     A tape backs exactly one reverse pass; ``backward`` marks it consumed.
-    ``replay`` re-runs the recorded computation from the saved input and
-    checks bit-identical output, which is cheap insurance against any caller
-    mutating arrays the tape still references.
     """
 
     model: "object"
-    x: np.ndarray  # batched (N, C, H, W)
     records: list = field(default_factory=list)
     logits: np.ndarray | None = None  # batched (N, num_classes)
     consumed: bool = False
-
-    def replay(self) -> Tensor:
-        out, _ = _run_forward(self.model, self.x, record=False)
-        if not np.array_equal(out, self.logits):
-            raise TapeError("tape replay diverged from the recorded output")
-        return Tensor(out[0] if out.shape[0] == 1 else out)
 
 
 @dataclass
@@ -89,7 +79,7 @@ def forward_batch(model, xb: np.ndarray):
         raise ValueError(f"batched input must be (N, C, H, W), got shape {xb.shape}")
     model.check_input_shape(xb.shape[1:])
     logits, records = _run_forward(model, xb, record=True)
-    return logits, Tape(model=model, x=xb, records=records, logits=logits)
+    return logits, Tape(model=model, records=records, logits=logits)
 
 
 def forward(model, x: Tensor):
@@ -106,7 +96,9 @@ def forward_values(model, x_array: np.ndarray) -> np.ndarray:
     """Tape-free forward pass over a raw array; accepts one image or a batch."""
     x_array = np.asarray(x_array, dtype=np.float64)
     single = x_array.ndim == 3
-    out, _ = _run_forward(model, x_array[None] if single else x_array, record=False)
+    xb = x_array[None] if single else x_array
+    model.check_input_shape(xb.shape[1:])
+    out, _ = _run_forward(model, xb, record=False)
     return out[0] if single else out
 
 

@@ -17,12 +17,15 @@ Shared configuration comes from a JSON run manifest (``--manifest``):
       "attack": {"epsilon": 0.01568, "step_size": 0.00392, "iters": 10},
       "train_attack": {"epsilon": 0.01568, "step_size": 0.00784, "iters": 5},
       "occlusion": {"patch": [8, 8], "stride": [4, 4], "baseline_value": 0.0},
-      "integrated_gradients": {"n_steps": 20},
+      "integrated_gradients": {"n_steps": 20, "baseline": "zero"},
+      "deeplift": {"reference": "zero"},
       "coverage": {"percentiles": [15, 75, 85, 95], "split": "test"}
     }
 
 All keys are optional except ``dataset`` for the commands that read one;
-relative paths resolve against the manifest's directory.
+relative paths resolve against the manifest's directory. A ``"mean"``
+IG baseline or DeepLIFT reference is the per-channel train-split mean image;
+``attribute`` and ``coverage`` build the same maps from these settings.
 """
 
 from __future__ import annotations
@@ -36,17 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
-from .attribution import (
-    METHODS,
-    OcclusionConfig,
-    PathConfig,
-    deeplift,
-    integrated_gradients,
-    mean_baseline,
-    occlusion,
-    saliency,
-    write_heatmap,
-)
+from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
 from .coverage import coverage_table
 from .model import load_model, save_model, tiny_cnn
 from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
@@ -296,6 +289,15 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _map_inputs(rm: RunManifest, ds):
+    """The IG path and the DeepLIFT reference that the manifest selects."""
+    zero = Tensor(np.zeros(ds.image_shape))
+    mean = mean_baseline(ds) if "mean" in (rm.ig_baseline, rm.deeplift_reference) else None
+    ig_base = zero if rm.ig_baseline == "zero" else mean
+    ref = zero if rm.deeplift_reference == "zero" else mean
+    return PathConfig(baseline=ig_base, n_steps=rm.ig_steps), ref
+
+
 def _parse_methods(raw) -> list:
     methods = [m.strip() for chunk in raw for m in chunk.split(",") if m.strip()]
     for m in methods:
@@ -316,22 +318,12 @@ def cmd_attribute(args) -> int:
         missing = [i for i in args.images if i not in ds.ids]
         if missing:
             raise ValueError(f"images not in the dataset: {', '.join(missing)}")
-        zero = Tensor(np.zeros(model.input_shape))
-        ref = zero if rm.deeplift_reference == "zero" else mean_baseline(ds)
-        ig_base = zero if rm.ig_baseline == "zero" else mean_baseline(ds)
-        path_cfg = PathConfig(baseline=ig_base, n_steps=rm.ig_steps)
+        path_cfg, ref = _map_inputs(rm, ds)
         out_dir.mkdir(parents=True, exist_ok=True)
         for image_id in args.images:
             x = ds.images[ds.index_of(image_id)]
             for method in methods:
-                if method == "saliency":
-                    amap = saliency(model, x, target)
-                elif method == "occlusion":
-                    amap = occlusion(model, x, target, rm.occlusion_cfg)
-                elif method == "deeplift":
-                    amap = deeplift(model, x, target, ref)
-                else:
-                    amap = integrated_gradients(model, x, target, path_cfg)
+                amap = METHODS[method](model, x, target, rm.occlusion_cfg, path_cfg, ref)
                 stem = f"{image_id}__{method}__c{target}"
                 write_heatmap(
                     amap,
@@ -356,6 +348,7 @@ def cmd_coverage(args) -> int:
         for model_path in args.models:
             model, _ = load_model(model_path)
             models[Path(model_path).stem] = model
+        path_cfg, ref = _map_inputs(rm, ds)
         report = coverage_table(
             models,
             methods,
@@ -364,18 +357,13 @@ def cmd_coverage(args) -> int:
             ds.annotations,
             split=rm.split,
             occlusion_cfg=rm.occlusion_cfg,
-            ig_steps=rm.ig_steps,
-            zero_reference=rm.deeplift_reference == "zero",
+            path_cfg=path_cfg,
+            reference=ref,
         )
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(
+        report.to_csv(
             out_path,
             {"seed": rm.seed, "config": f"split={rm.split};ig_steps={rm.ig_steps}"},
-            "model,method,percentile,coverage",
-            [
-                f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}"
-                for r in report.rows
-            ],
         )
     print(f"wrote {out_path}")
     return 0
@@ -424,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
     p.add_argument("--models", nargs="+", required=True)
-    p.add_argument("--methods", nargs="+", required=True)
+    p.add_argument("--methods", nargs="+", required=True, help=f"from: {', '.join(METHODS)}")
     p.add_argument("--percentiles", nargs="+", default=None, help="e.g. 15,75,85,95")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_coverage)

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attribution
-from .attribution import AttributionMap, OcclusionConfig, PathConfig
-from .tensor import Tensor
+from .attribution import METHODS, AttributionMap, OcclusionConfig, PathConfig
+from .autodiff import TapeError
+from .layers import LayerShapeError
+from .model import ModelError
+from .tensor import Tensor, TensorError
 
 __all__ = [
     "BinaryMask",
@@ -157,24 +159,14 @@ class CoverageRow:
 class CoverageReport:
     rows: list
 
-    def to_csv(self, path) -> None:
-        lines = ["model,method,percentile,coverage"]
+    def to_csv(self, path, provenance=None) -> None:
+        """Write the table, preceded by one ``# key=value`` line per provenance entry."""
+        lines = [f"# {k}={v}" for k, v in sorted((provenance or {}).items())]
+        lines.append("model,method,percentile,coverage")
         for r in self.rows:
             lines.append(f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _make_map(method, model, image, target_class, occ_cfg, path_cfg, ref):
-    if method == "saliency":
-        return attribution.saliency(model, image, target_class)
-    if method == "occlusion":
-        return attribution.occlusion(model, image, target_class, occ_cfg)
-    if method == "deeplift":
-        return attribution.deeplift(model, image, target_class, ref)
-    if method == "integrated_gradients":
-        return attribution.integrated_gradients(model, image, target_class, path_cfg)
-    raise ValueError(f"unknown attribution method {method!r}")
 
 
 def coverage_table(
@@ -186,16 +178,21 @@ def coverage_table(
     split: str = "test",
     target_class: int | None = None,
     occlusion_cfg: OcclusionConfig | None = None,
-    ig_steps: int = 20,
-    zero_reference: bool = True,
+    path_cfg: PathConfig | None = None,
+    reference: Tensor | None = None,
 ) -> CoverageReport:
     """Mean point coverage per (model, method, percentile) cell.
 
-    ``models`` is an ordered mapping of model id to model. Aggregation runs
-    over the annotated images of ``split`` (unweighted mean of per-image
-    ratios, reported in percent). The row set is complete: a cell whose maps
-    cannot be computed becomes ``N/A`` with the failure reason rather than
-    being skipped.
+    ``models`` is an ordered mapping of model id to model, and each method
+    is built by ``attribution.METHODS`` from ``occlusion_cfg``, ``path_cfg``
+    (integrated gradients) and ``reference`` (DeepLIFT); these default to an
+    8x8/stride-4 zero patch, 20 steps from a zero image, and a zero image.
+    Aggregation runs over the annotated images of ``split`` (unweighted mean
+    of per-image ratios, reported in percent). The row set is complete: a
+    cell whose maps cannot be computed (a map-level ``ValueError`` such as a
+    patch larger than the image) becomes ``N/A`` with the failure reason
+    rather than being skipped. Errors that mean the model, tensors or tape
+    are misused propagate.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
@@ -203,6 +200,9 @@ def coverage_table(
     for nu in percentiles:
         if not 0.0 <= nu <= 100.0:
             raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown attribution method {method!r}")
     annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ann]
     if not annotated:
         raise ValueError(f"split {split!r} has no annotated images")
@@ -210,25 +210,27 @@ def coverage_table(
         names = tuple(ds.class_names)
         target_class = names.index("fractured") if "fractured" in names else 0
     occ_cfg = occlusion_cfg or OcclusionConfig()
+    zero = Tensor(np.zeros(ds.image_shape))
+    path_cfg = path_cfg or PathConfig(baseline=zero)
+    ref = zero if reference is None else reference
 
     rows = []
     for model_id, model in models.items():
-        zero = Tensor(np.zeros(model.input_shape))
-        path_cfg = PathConfig(baseline=zero, n_steps=ig_steps)
-        ref = zero if zero_reference else attribution.mean_baseline(ds)
         for method in methods:
             ratios = {nu: [] for nu in percentiles}
             failure = None
             for i in annotated:
                 try:
-                    amap = _make_map(
-                        method, model, ds.images[i], target_class, occ_cfg, path_cfg, ref
+                    amap = METHODS[method](
+                        model, ds.images[i], target_class, occ_cfg, path_cfg, ref
                     )
                     entry = ann.get(ds.ids[i])
                     for nu in percentiles:
                         mask = threshold_mask(amap, nu)
                         ratios[nu].append(point_coverage(mask, entry))
-                except (ValueError, RuntimeError) as exc:
+                except (ModelError, LayerShapeError, TensorError, TapeError):
+                    raise
+                except ValueError as exc:
                     failure = str(exc)
                     break
             for nu in percentiles:

@@ -20,8 +20,10 @@ one. Every layer implements three passes over plain float64 ndarrays:
   reverse-mode gradients; parameter gradients are summed over the batch and
   only materialized for names in ``grad_names``,
 * ``multipliers(params, saved_x, saved_ref, m_out) -> m_in`` for
-  reference-based contribution backpropagation: affine layers route
-  multipliers through their transpose, ReLU rescales by delta-out/delta-in
+  reference-based contribution backpropagation. For an affine layer the
+  delta passes through the transpose and any bias cancels between the two
+  forward passes, so its multipliers are its input gradient: those layers
+  share one rule that calls ``backward``. ReLU rescales by delta-out/delta-in
   (falling back to the gradient when |delta-in| < 1e-7), and max pooling
   routes through the forward-pass argmax with an exact-conservation ratio.
   Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out), so the
@@ -54,8 +56,28 @@ class LayerShapeError(ValueError):
     """Raised when a layer cannot accept the shape flowing into it."""
 
 
+class _Layer:
+    """Defaults for a layer without parameters."""
+
+    def param_names(self):
+        return ()
+
+    def param_shapes(self):
+        return ()
+
+    def default_trainable(self):
+        return ()
+
+
+class _Affine(_Layer):
+    """Layers affine in their input: the multipliers are the input gradient."""
+
+    def multipliers(self, params, saved_x, saved_ref, m_out):
+        return self.backward(params, saved_x, m_out, frozenset())[0]
+
+
 @dataclass(frozen=True)
-class Standardize:
+class Standardize(_Affine):
     """Per-channel affine input normalization: (x - mean) / std."""
 
     name: str
@@ -88,13 +110,9 @@ class Standardize:
         std = params[f"{self.name}.std"][None, :, None, None]
         return gy / std, {}
 
-    def multipliers(self, params, saved_x, saved_ref, m_out):
-        std = params[f"{self.name}.std"][None, :, None, None]
-        return m_out / std
-
 
 @dataclass(frozen=True)
-class Conv2d:
+class Conv2d(_Affine):
     """Stride-1 2-D correlation with zero padding ("valid" or "same")."""
 
     name: str
@@ -145,9 +163,7 @@ class Conv2d:
         return (self.out_channels, oh, ow)
 
     def forward(self, params, x):
-        # One GEMM per kernel offset over shifted slices of the padded input;
-        # every intermediate copy runs over contiguous rows, which is far
-        # cheaper than gathering an explicit im2col patch matrix.
+        # One GEMM per kernel offset over shifted slices of the padded input.
         w = params[f"{self.name}.weight"]
         b = params[f"{self.name}.bias"]
         ph, pw = self._pads()
@@ -192,46 +208,14 @@ class Conv2d:
         gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
         return np.ascontiguousarray(gx), grads
 
-    def _input_grad(self, w, gy, in_hw):
-        # Transposed convolution: scatter each offset's back-projected slab
-        # into the padded gradient buffer, then crop the padding.
-        ph, pw = self._pads()
-        n, oh, ow = gy.shape[0], gy.shape[2], gy.shape[3]
-        h, wdt = in_hw
-        gym = gy.reshape(n, self.out_channels, oh * ow)
-        gxp = np.zeros((n, self.in_channels, h + 2 * ph, wdt + 2 * pw), dtype=np.float64)
-        for dh in range(self.kernel_h):
-            for dw in range(self.kernel_w):
-                gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gym
-                gxp[:, :, dh : dh + oh, dw : dw + ow] += gxs.reshape(
-                    n, self.in_channels, oh, ow
-                )
-        gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
-        return np.ascontiguousarray(gx)
-
-    def multipliers(self, params, saved_x, saved_ref, m_out):
-        # Affine in the input, so the delta passes through the transpose; the
-        # bias cancels between the two forward passes.
-        w = params[f"{self.name}.weight"]
-        return self._input_grad(w, m_out, saved_x["in_hw"])
-
 
 @dataclass(frozen=True)
-class ReLU:
+class ReLU(_Layer):
     """Elementwise max(x, 0). The subgradient at exactly 0 is 0."""
 
     name: str
 
     kind = "relu"
-
-    def param_names(self):
-        return ()
-
-    def param_shapes(self):
-        return ()
-
-    def default_trainable(self):
-        return ()
 
     def out_shape(self, in_shape):
         return in_shape
@@ -251,21 +235,12 @@ class ReLU:
 
 
 @dataclass(frozen=True)
-class MaxPool2:
+class MaxPool2(_Layer):
     """2x2 max pooling with stride 2; ties go to the first window element."""
 
     name: str
 
     kind = "maxpool2"
-
-    def param_names(self):
-        return ()
-
-    def param_shapes(self):
-        return ()
-
-    def default_trainable(self):
-        return ()
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[1] % 2 or in_shape[2] % 2:
@@ -326,21 +301,12 @@ class MaxPool2:
 
 
 @dataclass(frozen=True)
-class GlobalAvgPool:
+class GlobalAvgPool(_Affine):
     """Mean over the spatial dimensions, one value per channel."""
 
     name: str
 
     kind = "gap"
-
-    def param_names(self):
-        return ()
-
-    def param_shapes(self):
-        return ()
-
-    def default_trainable(self):
-        return ()
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -354,27 +320,14 @@ class GlobalAvgPool:
         n, c, h, w = saved["shape"]
         return np.broadcast_to(gy[:, :, None, None] / (h * w), (n, c, h, w)).copy(), {}
 
-    def multipliers(self, params, saved_x, saved_ref, m_out):
-        n, c, h, w = saved_x["shape"]
-        return np.broadcast_to(m_out[:, :, None, None] / (h * w), (n, c, h, w)).copy()
-
 
 @dataclass(frozen=True)
-class Flatten:
+class Flatten(_Affine):
     """Row-major reshape to a vector (per batch element)."""
 
     name: str
 
     kind = "flatten"
-
-    def param_names(self):
-        return ()
-
-    def param_shapes(self):
-        return ()
-
-    def default_trainable(self):
-        return ()
 
     def out_shape(self, in_shape):
         n = 1
@@ -388,12 +341,9 @@ class Flatten:
     def backward(self, params, saved, gy, grad_names):
         return gy.reshape(saved["shape"]), {}
 
-    def multipliers(self, params, saved_x, saved_ref, m_out):
-        return m_out.reshape(saved_x["shape"])
-
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Affine):
     """Fully connected affine map y = W x + b on a vector input."""
 
     name: str
@@ -431,9 +381,6 @@ class Dense:
         if f"{self.name}.bias" in grad_names:
             grads[f"{self.name}.bias"] = gy.sum(axis=0)
         return gy @ w, grads
-
-    def multipliers(self, params, saved_x, saved_ref, m_out):
-        return m_out @ params[f"{self.name}.weight"]
 
 
 LAYER_KINDS = {

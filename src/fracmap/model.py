@@ -23,7 +23,6 @@ disk; that round-trip is the single sanctioned precision loss.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,9 +274,20 @@ def _layer_line(layer) -> str:
     return f"{layer.kind} {body}"
 
 
+def _split_line(text: str):
+    """A layer or param line's leading word and its ``key=value`` fields."""
+    head, *tokens = text.split() or [""]
+    fields = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"token {token!r} is not key=value")
+        fields[key] = value
+    return head, fields
+
+
 def _layer_from_line(text: str):
-    parts = text.split()
-    kind, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
+    kind, kv = _split_line(text)
     name = kv.get("name", "")
     if kind == "standardize":
         return Standardize(name=name, channels=int(kv["channels"]))
@@ -300,7 +310,13 @@ def _layer_from_line(text: str):
         return Flatten(name=name)
     if kind == "dense":
         return Dense(name=name, in_features=int(kv["in"]), out_features=int(kv["out"]))
-    raise WeightFormatError(f"unknown layer kind {kind!r} in manifest")
+    raise WeightFormatError(f"unknown layer kind {kind!r}")
+
+
+def _param_from_line(text: str):
+    pname, kv = _split_line(text)
+    shape = tuple(int(d) for d in kv["shape"].split(","))
+    return pname, shape, int(kv["offset"]), kv.get("trainable", "1") == "1"
 
 
 def save_model(model: Model, path, meta=None) -> None:
@@ -375,17 +391,27 @@ def load_model(path):
     if input_shape is None or class_names is None:
         raise WeightFormatError(f"manifest in {path} lacks input_shape/classes")
 
-    layers = [_layer_from_line(layer_lines[i]) for i in range(len(layer_lines))]
+    for key, lines in (("layer", layer_lines), ("param", param_lines)):
+        gaps = sorted(set(range(len(lines))) - set(lines))
+        if gaps:
+            raise WeightFormatError(f"manifest in {path} lacks {key}.{gaps[0]}")
+    try:
+        layers, specs = [], []
+        for i in range(len(layer_lines)):
+            where = f"layer.{i}"
+            layers.append(_layer_from_line(layer_lines[i]))
+        for i in range(len(param_lines)):
+            where = f"param.{i}"
+            specs.append(_param_from_line(param_lines[i]))
+    except KeyError as exc:
+        raise WeightFormatError(f"manifest in {path}: {where} lacks field {exc}") from None
+    except ValueError as exc:
+        raise WeightFormatError(f"manifest in {path}: {where}: {exc}") from None
 
     params = {}
     trainable = {}
     offset = 0
-    for i in range(len(param_lines)):
-        parts = param_lines[i].split()
-        pname = parts[0]
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        shape = tuple(int(d) for d in kv["shape"].split(","))
-        declared = int(kv["offset"])
+    for pname, shape, declared, flag in specs:
         if declared != offset:
             raise WeightFormatError(
                 f"offset inconsistency for {pname!r} in {path}: declared {declared}, "
@@ -396,7 +422,7 @@ def load_model(path):
             raise WeightFormatError(f"truncated blob in {path}: {pname!r} overruns the payload")
         arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)), offset=offset)
         params[pname] = arr.astype(np.float64).reshape(shape)
-        trainable[pname] = kv.get("trainable", "1") == "1"
+        trainable[pname] = flag
         offset += nbytes
     if offset != len(blob):
         raise WeightFormatError(

@@ -53,9 +53,6 @@ class Tensor:
         """The underlying read-only ndarray."""
         return self._array
 
-    def reshaped(self, shape) -> "Tensor":
-        return Tensor(self._array, shape=shape)
-
     def __len__(self) -> int:
         return self._array.shape[0]
 
@@ -68,8 +65,3 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    def allclose(self, other: "Tensor", rtol=1e-9, atol=0.0) -> bool:
-        return self.shape == other.shape and np.allclose(
-            self._array, other._array, rtol=rtol, atol=atol
-        )

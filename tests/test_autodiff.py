@@ -70,11 +70,6 @@ class TestForward:
 
 
 class TestTape:
-    def test_replay_reproduces_output_bit_identically(self):
-        m = random_cnn(seed=2)
-        logits, tape = forward(m, rand_image(3, m.input_shape))
-        assert np.array_equal(tape.replay().array, logits.array)
-
     def test_tape_is_single_use(self):
         m = random_cnn(seed=2)
         _, tape = forward(m, rand_image(3, m.input_shape))

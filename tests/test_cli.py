@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracmap.attribution import PathConfig, mean_baseline
 from fracmap.cli import main
+from fracmap.coverage import coverage_table
 from fracmap.model import load_model
 from fracmap.pgm import read_pgm
+from fracmap.synth import load_dataset
+from fracmap.tensor import Tensor
 
 SEED = 13
 N = 16  # per-class 8 -> 6 train / 1 val / 1 test each
@@ -258,6 +262,47 @@ class TestCoverage:
             model_id, method, nu, val = line.split(",")
             if nu == "0":
                 assert val == "100.00"
+
+    def test_manifest_baselines_reach_the_table(self, workspace, trained, tmp_path):
+        # coverage must score the maps attribute exports: mean IG baseline and
+        # mean DeepLIFT reference, as the library builds them.
+        std, _ = trained
+        manifest = json.loads((workspace / "rm.json").read_text())
+        manifest["dataset"] = str(workspace / "data" / "dataset.txt")
+        manifest["integrated_gradients"]["baseline"] = "mean"
+        manifest["deeplift"] = {"reference": "mean"}
+        (tmp_path / "rm.json").write_text(json.dumps(manifest))
+        methods, percentiles = ["deeplift", "integrated_gradients"], [15, 50, 75, 85, 95]
+        out = tmp_path / "cov.csv"
+        rc = main(
+            [
+                "coverage",
+                "--manifest", str(tmp_path / "rm.json"),
+                "--models", str(std),
+                "--methods", ",".join(methods),
+                "--percentiles", ",".join(map(str, percentiles)),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        ds = load_dataset(workspace / "data" / "dataset.txt")
+        model, _ = load_model(std)
+        mean = mean_baseline(ds)
+        n_steps = manifest["integrated_gradients"]["n_steps"]
+
+        def rows_for(path_cfg):
+            report = coverage_table(
+                {std.stem: model}, methods, percentiles, ds, ds.annotations,
+                path_cfg=path_cfg, reference=mean,
+            )
+            return [f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}" for r in report.rows]
+
+        expected = rows_for(PathConfig(baseline=mean, n_steps=n_steps))
+        # The zero-baseline table differs, so the comparison below tells them apart.
+        zero = Tensor(np.zeros(ds.image_shape))
+        assert rows_for(PathConfig(baseline=zero, n_steps=n_steps)) != expected
+        rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "model"))]
+        assert rows == expected
 
     def test_missing_annotations_fail(self, workspace, trained, tmp_path, capsys):
         std, _ = trained

@@ -17,6 +17,7 @@ from fracmap.coverage import (
     save_annotations,
     threshold_mask,
 )
+from fracmap.model import ModelError, tiny_cnn
 from fracmap.synth import generate_dataset
 from fracmap.train import TrainConfig, train
 
@@ -160,8 +161,6 @@ class TestAnnotationsIO:
 @pytest.fixture(scope="module")
 def table_setup():
     ds = generate_dataset(seed=19, n=30, cfg=SMALL_CFG)
-    from fracmap.model import tiny_cnn
-
     model = train(
         tiny_cnn(seed=19, input_shape=(1, 32, 32)), ds, TrainConfig(epochs=2, seed=19)
     ).model
@@ -213,6 +212,18 @@ class TestCoverageTable:
             assert row.coverage is None
             assert "larger than image" in row.reason
             assert row.formatted().startswith("N/A:")
+
+    @pytest.mark.parametrize("method", ["saliency", "occlusion", "deeplift", "integrated_gradients"])
+    def test_model_input_mismatch_raises_instead_of_na(self, table_setup, method):
+        ds, _ = table_setup
+        wrong = tiny_cnn(seed=19, input_shape=(1, 64, 64))  # corpus images are 1x32x32
+        with pytest.raises(ModelError, match="input shape"):
+            coverage_table({"m": wrong}, [method], [15], ds, ds.annotations)
+
+    def test_unknown_method_rejected(self, table_setup):
+        ds, model = table_setup
+        with pytest.raises(ValueError, match="gradcam"):
+            coverage_table({"m": model}, ["gradcam"], [15], ds, ds.annotations)
 
     def test_unknown_image_in_annotations_rejected(self, table_setup):
         ds, model = table_setup

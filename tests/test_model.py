@@ -132,6 +132,55 @@ class TestWeightFile(object):
             load_model(path)
 
 
+def _rewrite_manifest(path, edit):
+    """Re-save an MWF1 file with ``edit`` applied to its manifest text."""
+    raw = path.read_bytes()
+    mlen = int.from_bytes(raw[4:8], "little")
+    manifest = edit(raw[8 : 8 + mlen].decode("utf-8")).encode("utf-8")
+    path.write_bytes(raw[:4] + len(manifest).to_bytes(4, "little") + manifest + raw[8 + mlen :])
+
+
+class TestManifestFields:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.mwf"
+        save_model(tiny_cnn(seed=7, input_shape=(1, 16, 16)), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "old, new, line, field",
+        [
+            (" out=2\n", "\n", "layer.11", "out"),  # dense head line without out=
+            (" kh=3", "", "layer.1", "kh"),
+            (" shape=8,1,3,3", "", "param.2", "shape"),
+            ("shape=8 offset=", "shape=8 at=", "param.3", "offset"),
+        ],
+        ids=["dense-out", "conv-kh", "param-shape", "param-offset"],
+    )
+    def test_missing_field_names_file_line_and_field(self, saved, old, new, line, field):
+        _rewrite_manifest(saved, lambda text: text.replace(old, new, 1))
+        with pytest.raises(WeightFormatError) as err:
+            load_model(saved)
+        msg = str(err.value)
+        assert str(saved) in msg and f"{line} lacks field {field!r}" in msg
+
+    def test_missing_layer_line_named(self, saved):
+        _rewrite_manifest(saved, lambda text: text.replace("layer.3=", "spare.3=", 1))
+        with pytest.raises(WeightFormatError, match=r"lacks layer\.3"):
+            load_model(saved)
+
+    def test_token_without_equals_named(self, saved):
+        _rewrite_manifest(saved, lambda text: text.replace(" kh=3", " kh", 1))
+        with pytest.raises(WeightFormatError, match=r"layer\.1: token 'kh'"):
+            load_model(saved)
+
+    def test_non_integer_value_named(self, saved):
+        _rewrite_manifest(saved, lambda text: text.replace(" out=2\n", " out=abc\n", 1))
+        with pytest.raises(WeightFormatError, match=r"layer\.11: .*'abc'") as err:
+            load_model(saved)
+        assert str(saved) in str(err.value)
+
+
 class TestReplaceHead:
     def test_backbone_untouched_and_head_resized(self):
         m = random_cnn(seed=7, n_classes=10)
