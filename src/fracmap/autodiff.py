@@ -102,12 +102,16 @@ def forward_values(model, x_array: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset()):
+def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):
     """Reverse pass over a batched tape.
 
     ``seed`` is the cotangent over the batched logits, shape (N, K). Returns
     ``(grad_input (N, C, H, W), param_grads)`` where parameter gradients are
     summed over the batch. Each tape supports exactly one reverse pass.
+
+    With ``input_grad=False`` the pass stops at the lowest layer that owns a
+    requested parameter, which computes only its parameter gradients, and
+    ``grad_input`` is None.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous reverse pass")
@@ -117,10 +121,21 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset()):
         raise ValueError(f"seed shape {seed.shape} does not match logits {tape.logits.shape}")
     grad_names = frozenset(grad_names)
     model = tape.model
+    records = tape.records
+    stop = 0
+    if not input_grad:
+        owners = [i for i, (layer, _) in enumerate(records) if grad_names & set(layer.param_names())]
+        if not owners:
+            return None, {}
+        stop = owners[0]
     gy = seed
     param_grads = {}
-    for layer, saved in reversed(tape.records):
-        gy, grads = layer.backward(model.params, saved, gy, grad_names)
+    for i in range(len(records) - 1, stop - 1, -1):
+        layer, saved = records[i]
+        if i == stop and not input_grad:
+            gy, grads = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
+        else:
+            gy, grads = layer.backward(model.params, saved, gy, grad_names)
         param_grads.update(grads)
     return gy, param_grads
 

@@ -363,7 +363,11 @@ def cmd_coverage(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         report.to_csv(
             out_path,
-            {"seed": rm.seed, "config": f"split={rm.split};ig_steps={rm.ig_steps}"},
+            {
+                "seed": rm.seed,
+                "config": f"split={rm.split};ig_steps={rm.ig_steps};"
+                f"ig_baseline={rm.ig_baseline};deeplift_reference={rm.deeplift_reference}",
+            },
         )
     print(f"wrote {out_path}")
     return 0

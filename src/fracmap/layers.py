@@ -18,16 +18,31 @@ one. Every layer implements three passes over plain float64 ndarrays:
   reverse passes need,
 * ``backward(params, saved, gy, grad_names) -> (gx, param_grads)`` for
   reverse-mode gradients; parameter gradients are summed over the batch and
-  only materialized for names in ``grad_names``,
+  only materialized for names in ``grad_names``. Layers with parameters also
+  take ``input_grad=False``, which skips ``gx`` (returned as None) for a
+  caller that reads only the parameter gradients,
 * ``multipliers(params, saved_x, saved_ref, m_out) -> m_in`` for
   reference-based contribution backpropagation. For an affine layer the
   delta passes through the transpose and any bias cancels between the two
   forward passes, so its multipliers are its input gradient: those layers
   share one rule that calls ``backward``. ReLU rescales by delta-out/delta-in
   (falling back to the gradient when |delta-in| < 1e-7), and max pooling
-  routes through the forward-pass argmax with an exact-conservation ratio.
-  Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out), so the
-  final contributions sum to the output change from the reference.
+  routes through the window's first maximum with an exact-conservation
+  ratio. Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out),
+  so the final contributions sum to the output change from the reference.
+
+The two hot kernels produce the bytes of a plain per-image evaluation:
+
+* ``Conv2d`` runs, per kernel offset, one channel-first GEMM
+  ``(O x C) @ (C x block*oh*ow)`` over a block of images, sized by
+  ``CONV_BLOCK_VALUES`` so that the block's output stays in cache. Each
+  output still sums over C inside one product and over offsets in
+  row-major order. With C == 1 the product has K = 1, and a broadcast
+  multiply gives the same bytes faster. The input gradient is blocked the
+  same way; the weight gradient keeps a per-image GEMM and a batch sum.
+* ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
+  and saves only ``x`` and ``y``; backward routes to the first view equal to
+  ``y``, and DeepLIFT rebuilds the windows from ``x``.
 """
 
 from __future__ import annotations
@@ -50,6 +65,11 @@ __all__ = [
 
 # Below this input delta the rescale ratio is replaced by the gradient.
 RESCALE_FALLBACK = 1e-7
+
+# Output values (channels x images x pixels) per block of a Conv2d GEMM.
+CONV_BLOCK_VALUES = 32768
+# Column tile of the BLAS GEMM kernels; see Conv2d._block.
+GEMM_TILE = 8
 
 
 class LayerShapeError(ValueError):
@@ -106,7 +126,9 @@ class Standardize(_Affine):
         std = params[f"{self.name}.std"][None, :, None, None]
         return (x - mean) / std, {}
 
-    def backward(self, params, saved, gy, grad_names):
+    def backward(self, params, saved, gy, grad_names, input_grad=True):
+        if not input_grad:
+            return None, {}
         std = params[f"{self.name}.std"][None, :, None, None]
         return gy / std, {}
 
@@ -162,51 +184,84 @@ class Conv2d(_Affine):
             )
         return (self.out_channels, oh, ow)
 
+    def _block(self, oh, ow):
+        """Images per GEMM block: as many as keep one block's output in cache.
+
+        BLAS computes a product's last few columns with edge kernels whose
+        summation order can differ, so images share a product only when
+        each starts on a column tile (oh * ow a multiple of GEMM_TILE);
+        otherwise every image gets its own product, as one image alone does.
+        """
+        if (oh * ow) % GEMM_TILE:
+            return 1
+        return max(1, CONV_BLOCK_VALUES // (max(self.out_channels, self.in_channels) * oh * ow))
+
     def forward(self, params, x):
-        # One GEMM per kernel offset over shifted slices of the padded input.
+        # Per block of images and kernel offset, one channel-first GEMM
+        # (O x C) @ (C x block*oh*ow): each output sums over C inside one
+        # product and over offsets in row-major order, as per image. With
+        # C == 1 the product has K = 1, so a broadcast multiply is exact.
         w = params[f"{self.name}.weight"]
         b = params[f"{self.name}.bias"]
         ph, pw = self._pads()
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        n, c = x.shape[0], self.in_channels
+        n, c, o = x.shape[0], self.in_channels, self.out_channels
         oh = xp.shape[2] - self.kernel_h + 1
         ow = xp.shape[3] - self.kernel_w + 1
-        acc = np.zeros((n, self.out_channels, oh * ow), dtype=np.float64)
-        for dh in range(self.kernel_h):
-            for dw in range(self.kernel_w):
-                xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
-                acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs.reshape(n, c, oh * ow)
-        y = acc.reshape(n, self.out_channels, oh, ow) + b[None, :, None, None]
+        y = np.empty((n, o, oh, ow), dtype=np.float64)
+        step = self._block(oh, ow)
+        for i in range(0, n, step):
+            blk = xp[i : i + step].transpose(1, 0, 2, 3)
+            m = blk.shape[1] * oh * ow
+            acc = np.zeros((o, m), dtype=np.float64)
+            for dh in range(self.kernel_h):
+                for dw in range(self.kernel_w):
+                    xs = np.ascontiguousarray(blk[:, :, dh : dh + oh, dw : dw + ow]).reshape(c, m)
+                    if c == 1:
+                        acc += w[:, 0, dh, dw][:, None] * xs
+                    else:
+                        acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
+            y[i : i + step] = acc.reshape(o, -1, oh, ow).transpose(1, 0, 2, 3)
+        y += b[None, :, None, None]
         return y, {"xp": xp, "in_hw": x.shape[2:]}
 
-    def backward(self, params, saved, gy, grad_names):
+    def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
         xp = saved["xp"]
-        ph, pw = self._pads()
-        n, oh, ow = gy.shape[0], gy.shape[2], gy.shape[3]
-        gym = gy.reshape(n, self.out_channels, oh * ow)
+        n, c, o = gy.shape[0], self.in_channels, self.out_channels
+        oh, ow = gy.shape[2], gy.shape[3]
         grads = {}
-        need_w = f"{self.name}.weight" in grad_names
-        if need_w:
-            gw = np.empty_like(w)
         if f"{self.name}.bias" in grad_names:
             grads[f"{self.name}.bias"] = gy.sum(axis=(0, 2, 3))
-        gxp = np.zeros_like(xp)
-        for dh in range(self.kernel_h):
-            for dw in range(self.kernel_w):
-                if need_w:
+        if f"{self.name}.weight" in grad_names:
+            # Per-image GEMM, then a sum over the batch, per kernel offset.
+            gym = gy.reshape(n, o, oh * ow)
+            gw = np.empty_like(w)
+            for dh in range(self.kernel_h):
+                for dw in range(self.kernel_w):
                     xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
-                    xs = xs.reshape(n, self.in_channels, oh * ow)
+                    xs = xs.reshape(n, c, oh * ow)
                     gw[:, :, dh, dw] = np.matmul(gym, xs.transpose(0, 2, 1)).sum(axis=0)
-                gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gym
-                gxp[:, :, dh : dh + oh, dw : dw + ow] += gxs.reshape(
-                    n, self.in_channels, oh, ow
-                )
-        if need_w:
             grads[f"{self.name}.weight"] = gw
+        if not input_grad:
+            return None, grads
+        # Blocked like forward: per offset, one (C x O) @ (O x block*oh*ow)
+        # product, added into the padded gradient in row-major offset order.
+        ph, pw = self._pads()
         h, wdt = saved["in_hw"]
-        gx = gxp[:, :, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
-        return np.ascontiguousarray(gx), grads
+        gx = np.empty((n, c, h, wdt), dtype=np.float64)
+        step = self._block(oh, ow)
+        for i in range(0, n, step):
+            gyb = np.ascontiguousarray(gy[i : i + step].transpose(1, 0, 2, 3))
+            k = gyb.shape[1]
+            gyb = gyb.reshape(o, k * oh * ow)
+            gxp = np.zeros((c, k) + xp.shape[2:], dtype=np.float64)
+            for dh in range(self.kernel_h):
+                for dw in range(self.kernel_w):
+                    gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gyb
+                    gxp[:, :, dh : dh + oh, dw : dw + ow] += gxs.reshape(c, k, oh, ow)
+            gx[i : i + step] = gxp[:, :, ph : ph + h, pw : pw + wdt].transpose(1, 0, 2, 3)
+        return gx, grads
 
 
 @dataclass(frozen=True)
@@ -265,16 +320,31 @@ class MaxPool2(_Layer):
             n, c, h, w
         )
 
+    @staticmethod
+    def _views(x):
+        # The four window cells as strided views, in row-major window order.
+        return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
     def forward(self, params, x):
-        win = self._windows(x)
-        idx = np.argmax(win, axis=-1)
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        return y, {"idx": idx, "shape": x.shape, "win": win}
+        # np.maximum returns its second operand on a tie (-0.0 vs +0.0), so
+        # chaining maximum(later, earlier) keeps the first maximum's bytes.
+        views = self._views(x)
+        y = views[0].copy()
+        for v in views[1:]:
+            np.maximum(v, y, out=y)
+        return y, {"x": x, "y": y}
 
     def backward(self, params, saved, gy, grad_names):
-        scatter = np.zeros(saved["win"].shape, dtype=np.float64)
-        np.put_along_axis(scatter, saved["idx"][..., None], gy[..., None], axis=-1)
-        return self._unwindow(scatter, saved["shape"]), {}
+        # Route gy to the first view, in row-major order, that equals the
+        # max; every other cell gets +0.0.
+        x, y = saved["x"], saved["y"]
+        gx = np.empty(x.shape, dtype=np.float64)
+        unrouted = np.ones(y.shape, dtype=bool)
+        for v, g in zip(self._views(x), self._views(gx)):
+            hit = (v == y) & unrouted
+            unrouted &= ~hit
+            g[...] = np.where(hit, gy, 0.0)
+        return gx, {}
 
     def multipliers(self, params, saved_x, saved_ref, m_out):
         # Route each window's multiplier to the forward-pass argmax, rescaled
@@ -282,9 +352,9 @@ class MaxPool2(_Layer):
         # When the argmax cell's own delta is negligible, spread the output
         # delta across the window proportionally to the squared cell deltas
         # instead; identical windows contribute exactly zero either way.
-        win_x = saved_x["win"]
-        win_ref = saved_ref["win"]
-        idx = saved_x["idx"][..., None]
+        win_x = self._windows(saved_x["x"])
+        win_ref = self._windows(saved_ref["x"])
+        idx = np.argmax(win_x, axis=-1)[..., None]
         dwin = win_x - win_ref
         dy = np.take_along_axis(win_x, idx, axis=-1) - np.max(win_ref, axis=-1, keepdims=True)
         d_amax = np.take_along_axis(dwin, idx, axis=-1)
@@ -297,7 +367,7 @@ class MaxPool2(_Layer):
         prop = dy * dwin / np.where(sq == 0.0, 1.0, sq)
         use_wta = np.abs(d_amax) >= RESCALE_FALLBACK
         mwin = m_out[..., None] * np.where(use_wta, wta, prop)
-        return self._unwindow(mwin, saved_x["shape"])
+        return self._unwindow(mwin, saved_x["x"].shape)
 
 
 @dataclass(frozen=True)
@@ -373,14 +443,14 @@ class Dense(_Affine):
         b = params[f"{self.name}.bias"]
         return x @ w.T + b[None, :], {"x": x}
 
-    def backward(self, params, saved, gy, grad_names):
+    def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
         grads = {}
         if f"{self.name}.weight" in grad_names:
             grads[f"{self.name}.weight"] = gy.T @ saved["x"]
         if f"{self.name}.bias" in grad_names:
             grads[f"{self.name}.bias"] = gy.sum(axis=0)
-        return gy @ w, grads
+        return (gy @ w if input_grad else None), grads
 
 
 LAYER_KINDS = {

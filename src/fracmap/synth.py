@@ -342,7 +342,7 @@ def load_dataset(manifest_path) -> Dataset:
     ann_path = None
     rows = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -354,19 +354,28 @@ def load_dataset(manifest_path) -> Dataset:
             elif key == "annotations":
                 ann_path = base / value
             elif key == "image":
-                parts = value.split()
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                rows.append((parts[0], kv["id"], kv["label"], kv["split"]))
+                rows.append((lineno, value.split()))
     if ann_path is None or not rows:
         raise ValueError(f"manifest {manifest_path} lacks an annotations entry or image rows")
 
     images, labels, split, ids = [], [], [], []
-    for rel, image_id, label, tag in rows:
-        gray = to_unit(read_pgm(base / rel))
+    for lineno, parts in rows:
+        where = f"manifest {manifest_path}, line {lineno}"
+        if not parts or any("=" not in p for p in parts[1:]):
+            raise ValueError(f"{where}: image row must be a path then key=value fields")
+        kv = dict(p.split("=", 1) for p in parts[1:])
+        for name in ("id", "label", "split"):
+            if name not in kv:
+                raise ValueError(f"{where}: image row lacks the {name}= field")
+        if kv["label"] not in class_names:
+            raise ValueError(
+                f"{where}: label={kv['label']!r} is not one of the classes {list(class_names)}"
+            )
+        gray = to_unit(read_pgm(base / parts[0]))
         images.append(Tensor(gray[None]))
-        labels.append(class_names.index(label))
-        split.append(tag)
-        ids.append(image_id)
+        labels.append(class_names.index(kv["label"]))
+        split.append(kv["split"])
+        ids.append(kv["id"])
     return Dataset(
         images=images,
         labels=labels,

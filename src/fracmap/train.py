@@ -123,7 +123,7 @@ def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
                 )
             losses.append(batch_loss)
             seed = cross_entropy_grad(logits, yb) / len(chunk)
-            _, grads = backward_batch(tape, seed, grad_names)
+            _, grads = backward_batch(tape, seed, grad_names, input_grad=False)
             opt.step(work, grads)
             for name in opt.names:
                 if not np.all(np.isfinite(work[name])):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from fracmap.autodiff import (
     TapeError,
     backward,
+    backward_batch,
     central_difference,
     forward,
+    forward_batch,
     forward_values,
     grad_input,
     grad_input_weighted,
@@ -17,7 +19,7 @@ from fracmap.autodiff import (
     numeric_gradient,
 )
 from fracmap.layers import Conv2d, Dense, Flatten, ReLU
-from fracmap.model import Model, ModelError
+from fracmap.model import Model, ModelError, freeze_backbone, tiny_cnn
 from fracmap.tensor import Tensor
 
 from conftest import linear_model, rand_image, random_cnn
@@ -82,6 +84,61 @@ class TestTape:
         _, tape = forward(m, rand_image(3, m.input_shape))
         with pytest.raises(ValueError):
             backward(tape, [1.0, 0.0, 0.0])
+
+
+class TestParamOnlyPass:
+    """``input_grad=False`` stops the reverse pass early, as training uses it."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            tiny_cnn(3, input_shape=(1, 32, 32)),
+            random_cnn(seed=4, input_shape=(3, 10, 10), channels=(2, 3), padding="valid"),
+            freeze_backbone(tiny_cnn(5, input_shape=(1, 32, 32))),
+        ],
+        ids=["tiny_cnn", "random_cnn", "head_only"],
+    )
+    def test_param_grads_bit_identical_to_full_pass(self, model):
+        rng = np.random.default_rng(1)
+        xb = rng.uniform(0.0, 1.0, (5,) + model.input_shape)
+        seed = rng.standard_normal((5, model.num_classes))
+        names = frozenset(n for n, flag in model.trainable.items() if flag)
+        _, full = backward_batch(forward_batch(model, xb)[1], seed, names)
+        gx, short = backward_batch(forward_batch(model, xb)[1], seed, names, input_grad=False)
+        assert gx is None
+        assert sorted(short) == sorted(full) == sorted(names)
+        for name in names:
+            assert full[name].tobytes() == short[name].tobytes()
+
+    @pytest.mark.parametrize("head_only, lowest", [(False, "conv0"), (True, "head")])
+    def test_pass_stops_at_lowest_layer_with_a_requested_parameter(self, head_only, lowest):
+        model = tiny_cnn(5, input_shape=(1, 32, 32))
+        if head_only:
+            model = freeze_backbone(model)
+        _, tape = forward_batch(model, np.zeros((2,) + model.input_shape))
+        calls = []
+        tape.records = [(_Recorder(layer, calls), saved) for layer, saved in tape.records]
+        names = frozenset(n for n, flag in model.trainable.items() if flag)
+        backward_batch(tape, np.ones((2, 2)), names, input_grad=False)
+        assert calls[-1] == (lowest, False)
+        assert all(keep for _, keep in calls[:-1])
+        assert [name for name, _ in calls] == [l.name for l in reversed(model.layers)][: len(calls)]
+
+
+class _Recorder:
+    """Stands in for a layer on a tape and logs its backward calls."""
+
+    def __init__(self, layer, calls):
+        self.layer, self.calls = layer, calls
+
+    def param_names(self):
+        return self.layer.param_names()
+
+    def backward(self, *args, input_grad=True):
+        self.calls.append((self.layer.name, input_grad))
+        if input_grad:
+            return self.layer.backward(*args)
+        return self.layer.backward(*args, input_grad=False)
 
 
 class TestGradInput:

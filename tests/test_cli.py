@@ -304,6 +304,23 @@ class TestCoverage:
         rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "model"))]
         assert rows == expected
 
+    def test_config_line_records_map_settings(self, workspace, trained, tmp_path):
+        std, _ = trained
+        manifest = json.loads((workspace / "rm.json").read_text())
+        manifest["dataset"] = str(workspace / "data" / "dataset.txt")
+        config_lines = {}
+        for ref in ("zero", "mean"):
+            manifest["integrated_gradients"]["baseline"] = ref
+            manifest["deeplift"] = {"reference": ref}
+            (tmp_path / f"rm_{ref}.json").write_text(json.dumps(manifest))
+            out = tmp_path / f"cov_{ref}.csv"
+            argv = ["coverage", "--manifest", str(tmp_path / f"rm_{ref}.json")]
+            argv += ["--models", str(std), "--methods", "saliency", "--percentiles", "50"]
+            assert main(argv + ["--out", str(out)]) == 0
+            config_lines[ref] = [l for l in out.read_text().splitlines() if l.startswith("# config=")]
+        assert config_lines["zero"] != config_lines["mean"]
+        assert config_lines["mean"][0].endswith(";ig_baseline=mean;deeplift_reference=mean")
+
     def test_missing_annotations_fail(self, workspace, trained, tmp_path, capsys):
         std, _ = trained
         data2 = tmp_path / "data2"

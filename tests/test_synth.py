@@ -94,6 +94,28 @@ class TestDiskFormat:
         for a, b in zip(ds.images, back.images):
             assert np.array_equal(a.array, b.array)
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("label=fractured", "label=broken", "label='broken'"),
+            (" id=img_0001", "", "id= field"),
+            (" label=healthy", "", "label= field"),
+            (" split=train", "", "split= field"),
+            (" split=train", " train", "key=value"),
+        ],
+    )
+    def test_malformed_image_row_names_manifest_line_and_field(self, tmp_path, old, new, named):
+        ds = generate_dataset(seed=8, n=4, cfg=SMALL_CFG)
+        manifest, _ = save_dataset(ds, tmp_path)
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("image=") and old in l)
+        lines[row] = lines[row].replace(old, new, 1)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert str(manifest) in message and f"line {row + 1}" in message and named in message
+
     def test_manifest_lists_paths_labels_splits(self, tmp_path):
         ds = generate_dataset(seed=8, n=4, cfg=SMALL_CFG)
         manifest, ann = save_dataset(ds, tmp_path)
