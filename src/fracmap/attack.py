@@ -114,18 +114,13 @@ def pgd(model, x: Tensor, y: int, cfg: AttackConfig) -> Tensor:
 
 def adv_accuracy(model, ds, split: str, cfg: AttackConfig, batch_size: int = 32) -> float:
     """Accuracy on per-image attacks crafted against this same model."""
-    idx = ds.split_indices(split)
-    if not idx:
-        raise ValueError(f"split {split!r} is empty")
-    correct = 0
-    for start in range(0, len(idx), batch_size):
-        chunk = idx[start : start + batch_size]
-        xb = np.stack([ds.images[i].array for i in chunk])
-        yb = np.array([ds.labels[i] for i in chunk])
+    correct = total = 0
+    for xb, yb in ds.batches(split, batch_size):
         adv = pgd_batch(model, xb, yb, cfg)
         logits, _ = forward_batch(model, adv)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    return correct / len(idx)
+        total += len(yb)
+    return correct / total
 
 
 def delta_acc(clean: float, adv: float) -> float:

@@ -295,13 +295,9 @@ def normalize(amap: AttributionMap) -> AttributionMap:
 
 def mean_baseline(ds, split: str = "train") -> Tensor:
     """Constant image holding each channel's mean over a dataset split."""
-    idx = ds.split_indices(split)
-    if not idx:
-        raise ValueError(f"split {split!r} is empty")
-    stack = np.stack([ds.images[i].array for i in idx])
+    stack, _ = next(ds.batches(split, len(ds.images)))  # the whole split in one batch
     per_channel = stack.mean(axis=(0, 2, 3))
-    shape = ds.images[idx[0]].shape
-    return Tensor(np.broadcast_to(per_channel[:, None, None], shape).copy())
+    return Tensor(np.broadcast_to(per_channel[:, None, None], stack.shape[1:]).copy())
 
 
 def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path=None, extra=None) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
-from .coverage import coverage_table
+from .coverage import coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
 from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
@@ -57,7 +57,6 @@ class ManifestError(ValueError):
 class RunManifest:
     seed: int = 0
     dataset: Path | None = None
-    out_dir: Path = Path("out")
     train_cfg: TrainConfig = TrainConfig()
     eval_attack: AttackConfig = AttackConfig()
     train_attack: AttackConfig = AttackConfig(step_size=2 / 255, iters=5)
@@ -104,8 +103,6 @@ def load_run_manifest(path, seed_override=None) -> RunManifest:
         rm.dataset = base / str(payload["dataset"])
         if not rm.dataset.exists():
             raise ManifestError(f"field 'dataset': file {rm.dataset} does not exist")
-    if "out_dir" in payload:
-        rm.out_dir = base / str(payload["out_dir"])
 
     try:
         rm.train_cfg = TrainConfig(
@@ -204,13 +201,6 @@ def _train_digest(cfg: TrainConfig, atk: AttackConfig | None, init_name: str | N
     return ";".join(parts)
 
 
-def _write_csv(path: Path, provenance: dict, header: str, rows) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(provenance.items())]
-    lines.append(header)
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     cfg = SynthConfig(height=args.size, width=args.size)
@@ -273,8 +263,10 @@ def cmd_attack(args) -> int:
             )
         ranked = rank_models(reports)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(
+        write_csv(
             out_path,
+            "model,clean_acc,adv_acc,delta_acc",
+            [f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}" for r in ranked],
             {
                 "seed": rm.seed,
                 "config": (
@@ -282,8 +274,6 @@ def cmd_attack(args) -> int:
                     f"pgd_iters={rm.eval_attack.iters};split={rm.split}"
                 ),
             },
-            "model,clean_acc,adv_acc,delta_acc",
-            [f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}" for r in ranked],
         )
     print(f"wrote {out_path}")
     return 0

@@ -35,6 +35,7 @@ __all__ = [
     "threshold_mask",
     "point_coverage",
     "coverage_table",
+    "write_csv",
     "save_annotations",
     "load_annotations",
 ]
@@ -160,13 +161,19 @@ class CoverageReport:
     rows: list
 
     def to_csv(self, path, provenance=None) -> None:
-        """Write the table, preceded by one ``# key=value`` line per provenance entry."""
-        lines = [f"# {k}={v}" for k, v in sorted((provenance or {}).items())]
-        lines.append("model,method,percentile,coverage")
-        for r in self.rows:
-            lines.append(f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the table through ``write_csv``."""
+        rows = [f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}" for r in self.rows]
+        write_csv(path, "model,method,percentile,coverage", rows, provenance)
+
+
+def write_csv(path, header: str, rows, provenance=None) -> None:
+    """Write one ``# key=value`` line per provenance entry (sorted by key), the
+    header, then the pre-formatted rows."""
+    lines = [f"# {k}={v}" for k, v in sorted((provenance or {}).items())]
+    lines.append(header)
+    lines.extend(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def coverage_table(
@@ -191,8 +198,10 @@ def coverage_table(
     of per-image ratios, reported in percent). The row set is complete: a
     cell whose maps cannot be computed (a map-level ``ValueError`` such as a
     patch larger than the image) becomes ``N/A`` with the failure reason
-    rather than being skipped. Errors that mean the model, tensors or tape
-    are misused propagate.
+    rather than being skipped. A map whose values are all equal ranks no
+    pixel above another, so it makes the cell ``N/A:constant map for <image
+    id>`` instead of a mask that keeps every pixel. Errors that mean the
+    model, tensors or tape are misused propagate.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
@@ -224,6 +233,8 @@ def coverage_table(
                     amap = METHODS[method](
                         model, ds.images[i], target_class, occ_cfg, path_cfg, ref
                     )
+                    if amap.values.min() == amap.values.max():
+                        raise ValueError(f"constant map for {ds.ids[i]}")
                     entry = ann.get(ds.ids[i])
                     for nu in percentiles:
                         mask = threshold_mask(amap, nu)

@@ -31,6 +31,13 @@ one. Every layer implements three passes over plain float64 ndarrays:
   ratio. Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out),
   so the final contributions sum to the output change from the reference.
 
+Each class also names the ``key=value`` fields of its MWF1 ``layer.N``
+line: ``file_fields`` lists ``(key, attribute, cast)`` in on-disk order,
+after the leading kind word and ``name=``. ``Conv2d`` writes
+``in/out/kh/kw/padding``, ``Standardize`` ``channels``, ``Dense``
+``in/out``, and a layer without parameters writes none. The model module
+saves and loads every kind through these fields and ``LAYER_KINDS``.
+
 The two hot kernels produce the bytes of a plain per-image evaluation:
 
 * ``Conv2d`` runs, per kernel offset, one channel-first GEMM
@@ -79,6 +86,8 @@ class LayerShapeError(ValueError):
 class _Layer:
     """Defaults for a layer without parameters."""
 
+    file_fields = ()
+
     def param_names(self):
         return ()
 
@@ -104,6 +113,7 @@ class Standardize(_Affine):
     channels: int
 
     kind = "standardize"
+    file_fields = (("channels", "channels", int),)
 
     def param_names(self):
         return (f"{self.name}.mean", f"{self.name}.std")
@@ -145,6 +155,13 @@ class Conv2d(_Affine):
     padding: str = "same"
 
     kind = "conv2d"
+    file_fields = (
+        ("in", "in_channels", int),
+        ("out", "out_channels", int),
+        ("kh", "kernel_h", int),
+        ("kw", "kernel_w", int),
+        ("padding", "padding", str),
+    )
 
     def __post_init__(self):
         if self.padding not in ("valid", "same"):
@@ -421,6 +438,7 @@ class Dense(_Affine):
     out_features: int
 
     kind = "dense"
+    file_fields = (("in", "in_features", int), ("out", "out_features", int))
 
     def param_names(self):
         return (f"{self.name}.weight", f"{self.name}.bias")

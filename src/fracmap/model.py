@@ -10,7 +10,8 @@ Weight files are self-describing and bit-exact:
     bytes 0..3    magic "MWF1"
     bytes 4..7    manifest length, unsigned 32-bit little-endian
     manifest      UTF-8 key/value text (one ``key=value`` per line) holding
-                  the input shape, class names, layer descriptors in order,
+                  the input shape, class names, layer descriptors in order
+                  (each layer class lists its own fields, ``file_fields``),
                   and one ``param.N`` line per tensor with its shape, byte
                   offset, and trainable flag; ``meta.*`` lines pass through
     blob          little-endian IEEE-754 float32 values, row-major per
@@ -27,10 +28,10 @@ import re
 import numpy as np
 
 from .layers import (
+    LAYER_KINDS,
     Conv2d,
     Dense,
     Flatten,
-    GlobalAvgPool,
     LayerShapeError,
     MaxPool2,
     ReLU,
@@ -255,23 +256,9 @@ def freeze_backbone(model: Model) -> Model:
 
 
 def _layer_line(layer) -> str:
-    fields = {"name": layer.name}
-    if isinstance(layer, Standardize):
-        fields["channels"] = layer.channels
-    elif isinstance(layer, Conv2d):
-        fields.update(
-            {
-                "in": layer.in_channels,
-                "out": layer.out_channels,
-                "kh": layer.kernel_h,
-                "kw": layer.kernel_w,
-                "padding": layer.padding,
-            }
-        )
-    elif isinstance(layer, Dense):
-        fields.update({"in": layer.in_features, "out": layer.out_features})
-    body = " ".join(f"{k}={v}" for k, v in fields.items())
-    return f"{layer.kind} {body}"
+    fields = [f"name={layer.name}"]
+    fields += [f"{key}={getattr(layer, attr)}" for key, attr, _ in layer.file_fields]
+    return f"{layer.kind} " + " ".join(fields)
 
 
 def _split_line(text: str):
@@ -288,29 +275,11 @@ def _split_line(text: str):
 
 def _layer_from_line(text: str):
     kind, kv = _split_line(text)
-    name = kv.get("name", "")
-    if kind == "standardize":
-        return Standardize(name=name, channels=int(kv["channels"]))
-    if kind == "conv2d":
-        return Conv2d(
-            name=name,
-            in_channels=int(kv["in"]),
-            out_channels=int(kv["out"]),
-            kernel_h=int(kv["kh"]),
-            kernel_w=int(kv["kw"]),
-            padding=kv["padding"],
-        )
-    if kind == "relu":
-        return ReLU(name=name)
-    if kind == "maxpool2":
-        return MaxPool2(name=name)
-    if kind == "gap":
-        return GlobalAvgPool(name=name)
-    if kind == "flatten":
-        return Flatten(name=name)
-    if kind == "dense":
-        return Dense(name=name, in_features=int(kv["in"]), out_features=int(kv["out"]))
-    raise WeightFormatError(f"unknown layer kind {kind!r}")
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        raise WeightFormatError(f"unknown layer kind {kind!r}")
+    fields = {attr: cast(kv[key]) for key, attr, cast in cls.file_fields}
+    return cls(name=kv.get("name", ""), **fields)
 
 
 def _param_from_line(text: str):

@@ -106,6 +106,11 @@ class Dataset:
         if not (len(self.labels) == len(self.split) == len(self.ids) == n):
             raise ValueError("images, labels, split, and ids must align")
         for img, label, image_id in zip(self.images, self.labels, self.ids):
+            if img.shape != self.images[0].shape:
+                raise ValueError(
+                    f"image {image_id!r} has shape {img.shape}, but the first image "
+                    f"{self.ids[0]!r} has {self.images[0].shape}"
+                )
             if img.array.min() < 0.0 or img.array.max() > 1.0:
                 raise ValueError(f"image {image_id!r} has values outside [0, 1]")
             if label == FRACTURED and image_id not in self.annotations:
@@ -123,6 +128,22 @@ class Dataset:
 
     def split_indices(self, split: str) -> list:
         return [i for i, s in enumerate(self.split) if s == split]
+
+    def batches(self, split: str, size: int, rng=None):
+        """Yield ``(xb (B, C, H, W), yb (B,))`` over a split, ``size`` images at a time.
+
+        Images come in index order, or, given ``rng``, in the order of one
+        ``rng.permutation`` of the split; the last batch may be short.
+        """
+        idx = self.split_indices(split)
+        if not idx:
+            raise ValueError(f"split {split!r} is empty")
+        if rng is not None:
+            idx = [idx[j] for j in rng.permutation(len(idx))]
+        for start in range(0, len(idx), size):
+            chunk = idx[start : start + size]
+            xb = np.stack([self.images[i].array for i in chunk])
+            yield xb, np.array([self.labels[i] for i in chunk])
 
     def index_of(self, image_id: str) -> int:
         return self._index[image_id]

@@ -86,8 +86,7 @@ class _Adam:
 
 
 def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
-    idx = ds.split_indices("train")
-    if not idx:
+    if not ds.split_indices("train"):
         raise ValueError("train split is empty")
     trainable = [n for n, flag in model.trainable.items() if flag]
     if cfg.head_only:
@@ -106,30 +105,25 @@ def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
     grad_names = frozenset(trainable)
     trace = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(idx))
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [idx[j] for j in order[start : start + cfg.batch_size]]
+        for batch, (xb, yb) in enumerate(ds.batches("train", cfg.batch_size, rng)):
             current = model.with_params({**model.params, **work})
-            xb = np.stack([ds.images[i].array for i in chunk])
-            yb = np.array([ds.labels[i] for i in chunk])
             if perturb is not None:
                 xb = perturb(current, xb, yb)
             logits, tape = forward_batch(current, xb)
             batch_loss = float(np.mean(cross_entropy(logits, yb)))
             if not np.isfinite(batch_loss):
                 raise DivergenceError(
-                    f"loss became non-finite at epoch {epoch + 1}, batch {start // cfg.batch_size}"
+                    f"loss became non-finite at epoch {epoch + 1}, batch {batch}"
                 )
             losses.append(batch_loss)
-            seed = cross_entropy_grad(logits, yb) / len(chunk)
+            seed = cross_entropy_grad(logits, yb) / len(yb)
             _, grads = backward_batch(tape, seed, grad_names, input_grad=False)
             opt.step(work, grads)
             for name in opt.names:
                 if not np.all(np.isfinite(work[name])):
                     raise DivergenceError(
-                        f"parameter {name!r} became non-finite at epoch {epoch + 1}, "
-                        f"batch {start // cfg.batch_size}"
+                        f"parameter {name!r} became non-finite at epoch {epoch + 1}, batch {batch}"
                     )
         trace.append(float(np.mean(losses)))
     return TrainResult(model=model.with_params({**model.params, **work}), loss_trace=trace)
@@ -151,14 +145,9 @@ def adv_train(model, ds, atk: AttackConfig, cfg: TrainConfig) -> TrainResult:
 
 def evaluate(model, ds, split: str, batch_size: int = 32) -> float:
     """Fraction of argmax-correct predictions on a split, in [0, 1]."""
-    idx = ds.split_indices(split)
-    if not idx:
-        raise ValueError(f"split {split!r} is empty")
-    correct = 0
-    for start in range(0, len(idx), batch_size):
-        chunk = idx[start : start + batch_size]
-        xb = np.stack([ds.images[i].array for i in chunk])
-        yb = np.array([ds.labels[i] for i in chunk])
+    correct = total = 0
+    for xb, yb in ds.batches(split, batch_size):
         logits, _ = forward_batch(model, xb)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    return correct / len(idx)
+        total += len(yb)
+    return correct / total

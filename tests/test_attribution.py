@@ -13,6 +13,7 @@ from fracmap.attribution import (
     deeplift_contributions,
     ig_attributions,
     integrated_gradients,
+    mean_baseline,
     normalize,
     occlusion,
     occlusion_linearized,
@@ -21,6 +22,7 @@ from fracmap.attribution import (
 )
 from fracmap.autodiff import forward_values, kink_margin, numeric_gradient
 from fracmap.pgm import read_pgm
+from fracmap.synth import SynthConfig, generate_dataset
 from fracmap.tensor import Tensor
 
 from conftest import linear_model, rand_image, random_cnn
@@ -302,6 +304,17 @@ class TestNormalize:
                 same_before = raw[0, i] == raw[0, j]
                 same_after = norm.values[0, i] == norm.values[0, j]
                 assert same_before == same_after
+
+
+class TestMeanBaseline:
+    def test_per_channel_mean_of_the_train_split(self):
+        ds = generate_dataset(seed=8, n=10, cfg=SynthConfig(height=16, width=16, channels=3))
+        train = np.stack([ds.images[i].array for i in ds.split_indices("train")])
+        base = mean_baseline(ds).array
+        assert base.shape == (3, 16, 16)
+        for ch in range(3):
+            np.testing.assert_allclose(base[ch], np.mean(train[:, ch]), rtol=1e-12)
+        assert len(set(base[:, 0, 0])) == 3  # channel gains differ
 
 
 class TestHeatmapExport:

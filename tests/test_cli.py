@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fracmap.attribution import PathConfig, mean_baseline
-from fracmap.cli import main
+from fracmap.cli import load_run_manifest, main
 from fracmap.coverage import coverage_table
 from fracmap.model import load_model
 from fracmap.pgm import read_pgm
@@ -115,6 +115,13 @@ class TestTrain:
         rc = main(["train", "--manifest", str(tmp_path / "rm.json"), "--mode", "standard", "--out", str(tmp_path / "m.mwf")])
         assert rc != 0
         assert "dataset" in capsys.readouterr().err
+
+    def test_manifest_with_out_dir_still_loads(self, workspace, tmp_path):
+        manifest = {"dataset": str(workspace / "data" / "dataset.txt"), "out_dir": "elsewhere"}
+        (tmp_path / "rm.json").write_text(json.dumps(manifest))
+        rm = load_run_manifest(tmp_path / "rm.json")
+        assert rm.dataset == workspace / "data" / "dataset.txt"
+        assert not hasattr(rm, "out_dir")
 
     def test_invalid_train_field_fails_naming_field(self, workspace, tmp_path, capsys):
         manifest = {"seed": 1, "dataset": str(workspace / "data" / "dataset.txt"), "train": {"epochs": 0}}

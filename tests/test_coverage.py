@@ -16,6 +16,7 @@ from fracmap.coverage import (
     point_coverage,
     save_annotations,
     threshold_mask,
+    write_csv,
 )
 from fracmap.model import ModelError, tiny_cnn
 from fracmap.synth import generate_dataset
@@ -231,6 +232,19 @@ class TestCoverageTable:
         with pytest.raises(ValueError, match="img_9999"):
             coverage_table({"m": model}, ["saliency"], [15], ds, ann)
 
+    @pytest.mark.parametrize("method", ["saliency", "occlusion", "deeplift", "integrated_gradients"])
+    def test_dead_model_cell_is_na_not_full_coverage(self, table_setup, method):
+        ds, _ = table_setup
+        m = tiny_cnn(seed=19, input_shape=(1, 32, 32))
+        dead = m.with_params(
+            {k: np.zeros_like(v) if k.endswith(".weight") else v for k, v in m.params.items()}
+        )
+        report = coverage_table({"dead": dead}, [method], [85, 95], ds, ds.annotations)
+        assert len(report.rows) == 2
+        for row in report.rows:
+            assert row.coverage is None
+            assert row.formatted().startswith("N/A:constant map for img_")
+
     def test_two_decimal_formatting_matches_report_shape(self):
         row = CoverageRow("m", "integrated_gradients", 95.0, 29.114999, None)
         assert row.formatted() == "29.11"
@@ -244,3 +258,9 @@ class TestCoverageTable:
         assert lines[0] == "model,method,percentile,coverage"
         assert len(lines) == 3
         assert lines[1].startswith("m,saliency,15,")
+
+
+def test_write_csv_puts_sorted_provenance_before_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b", ["1,2", "3,4"], {"seed": 5, "config": "x=1"})
+    assert path.read_text() == "# config=x=1\n# seed=5\na,b\n1,2\n3,4\n"

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from fracmap.layers import Conv2d, Dense, Flatten, MaxPool2
+from fracmap.layers import LAYER_KINDS, Conv2d, Dense, Flatten, MaxPool2
 from fracmap.model import (
     Model,
     ModelError,
@@ -60,6 +60,22 @@ class TestWeightFile(object):
         assert loaded.trainable == m.trainable
         for name, arr in m.params.items():
             assert np.array_equal(loaded.params[name], arr.astype("<f4").astype(np.float64))
+
+    def test_every_layer_kind_round_trips(self, tmp_path):
+        models = [
+            random_cnn(seed=7, input_shape=(3, 10, 10), channels=(2, 3), padding="valid", head="gap"),
+            random_cnn(seed=8),  # same padding and a flatten head
+        ]
+        covered = set()
+        for i, m in enumerate(models):
+            first, second = tmp_path / f"{i}a.mwf", tmp_path / f"{i}b.mwf"
+            save_model(m, first)
+            loaded, _ = load_model(first)
+            assert loaded.layers == m.layers
+            save_model(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+            covered |= {layer.kind for layer in loaded.layers}
+        assert covered == set(LAYER_KINDS)
 
     def test_double_save_is_byte_identical(self, tmp_path):
         m = tiny_cnn(seed=4, input_shape=(1, 16, 16))

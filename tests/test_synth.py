@@ -116,6 +116,15 @@ class TestDiskFormat:
         message = str(err.value)
         assert str(manifest) in message and f"line {row + 1}" in message and named in message
 
+    def test_image_of_another_shape_names_image_and_shapes(self, tmp_path):
+        ds = generate_dataset(seed=8, n=4)  # 64x64
+        manifest, _ = save_dataset(ds, tmp_path)
+        write_pgm(tmp_path / "images" / "img_0002.pgm", np.zeros((32, 32), dtype=np.uint8))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert "'img_0002'" in message and "(1, 32, 32)" in message and "(1, 64, 64)" in message
+
     def test_manifest_lists_paths_labels_splits(self, tmp_path):
         ds = generate_dataset(seed=8, n=4, cfg=SMALL_CFG)
         manifest, ann = save_dataset(ds, tmp_path)
@@ -140,3 +149,33 @@ class TestDiskFormat:
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ValueError, match="P5"):
             read_pgm(path)
+
+
+class TestBatches:
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate_dataset(seed=8, n=10, cfg=SMALL_CFG)  # 8 train images
+
+    def assert_batches(self, ds, batches, order, size):
+        expected = [order[i : i + size] for i in range(0, len(order), size)]
+        assert len(batches) == len(expected)
+        for (xb, yb), chunk in zip(batches, expected):
+            assert np.array_equal(xb, np.stack([ds.images[i].array for i in chunk]))
+            assert yb.tolist() == [ds.labels[i] for i in chunk]
+
+    def test_index_order_and_short_last_batch(self, ds):
+        idx = ds.split_indices("train")
+        batches = list(ds.batches("train", 3))
+        assert [len(yb) for _, yb in batches] == [3, 3, 2]
+        assert batches[0][0].shape == (3,) + ds.image_shape
+        self.assert_batches(ds, batches, idx, 3)
+
+    def test_rng_permutes_the_split_once(self, ds):
+        idx = ds.split_indices("train")
+        batches = list(ds.batches("train", 3, np.random.default_rng(4)))
+        order = [idx[j] for j in np.random.default_rng(4).permutation(len(idx))]
+        self.assert_batches(ds, batches, order, 3)
+
+    def test_empty_split_rejected(self, ds):
+        with pytest.raises(ValueError, match="split 'holdout' is empty"):
+            next(ds.batches("holdout", 3))
