@@ -26,6 +26,8 @@ __all__ = [
     "rank_models",
 ]
 
+EVAL_BATCH = 32  # images per forward pass when scoring a split
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -112,10 +114,10 @@ def pgd(model, x: Tensor, y: int, cfg: AttackConfig) -> Tensor:
     return Tensor(out[0])
 
 
-def adv_accuracy(model, ds, split: str, cfg: AttackConfig, batch_size: int = 32) -> float:
+def adv_accuracy(model, ds, split: str, cfg: AttackConfig) -> float:
     """Accuracy on per-image attacks crafted against this same model."""
     correct = total = 0
-    for xb, yb in ds.batches(split, batch_size):
+    for xb, yb in ds.batches(split, EVAL_BATCH):
         adv = pgd_batch(model, xb, yb, cfg)
         logits, _ = forward_batch(model, adv)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))

@@ -43,6 +43,8 @@ __all__ = [
     "write_heatmap",
 ]
 
+MAP_BATCH = 64  # images per forward pass when a map needs many of them
+
 
 @dataclass(frozen=True)
 class AttributionMap:
@@ -153,7 +155,7 @@ def _occlusion_digest(cfg: OcclusionConfig, c: int) -> str:
     )
 
 
-def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig, batch_size: int = 64) -> AttributionMap:
+def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     """Output drop f(x) - f(x with patch replaced) at every strided position.
 
     Per-channel mode records one drop per occluded channel and sums them; the
@@ -171,8 +173,8 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig, batch_size: int = 
             occ[sel, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
             variants.append(occ)
     drops = np.empty(len(variants))
-    for start in range(0, len(variants), batch_size):
-        chunk = np.stack(variants[start : start + batch_size])
+    for start in range(0, len(variants), MAP_BATCH):
+        chunk = np.stack(variants[start : start + MAP_BATCH])
         drops[start : start + len(chunk)] = base - forward_values(model, chunk)[:, c]
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
@@ -244,7 +246,7 @@ def deeplift(model, x: Tensor, c: int, x_ref: Tensor) -> AttributionMap:
     )
 
 
-def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig, batch_size: int = 64) -> np.ndarray:
+def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
     """Signed integrated-gradients attributions (midpoint Riemann sum).
 
     Averages the class-c input gradient at the midpoints of ``n_steps``
@@ -259,8 +261,8 @@ def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig, batch_size: int =
     diff = x.array - cfg.baseline.array
     alphas = (np.arange(cfg.n_steps) + 0.5) / cfg.n_steps
     grad_sum = np.zeros_like(diff)
-    for start in range(0, cfg.n_steps, batch_size):
-        chunk = alphas[start : start + batch_size]
+    for start in range(0, cfg.n_steps, MAP_BATCH):
+        chunk = alphas[start : start + MAP_BATCH]
         pts = cfg.baseline.array[None] + chunk[:, None, None, None] * diff[None]
         logits, tape = forward_batch(model, pts)
         seed = np.zeros_like(logits)
@@ -300,7 +302,7 @@ def mean_baseline(ds, split: str = "train") -> Tensor:
     return Tensor(np.broadcast_to(per_channel[:, None, None], stack.shape[1:]).copy())
 
 
-def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path=None, extra=None) -> None:
+def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path, extra=None) -> None:
     """Export: normalized map quantized to 8-bit PGM, plus a text sidecar.
 
     The sidecar records the method, target class, config digest, the score
@@ -311,19 +313,18 @@ def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path=None, extra=None)
     hi = float(amap.values.max())
     norm = normalize(amap)
     write_pgm(pgm_path, to_bytes_gray(norm.values), comment=amap.config_digest)
-    if sidecar_path is not None:
-        lines = [
-            f"method={amap.method}",
-            f"target_class={amap.target_class}",
-            f"config_digest={amap.config_digest}",
-            f"min={lo!r}",
-            f"max={hi!r}",
-            f"degenerate={int(norm.degenerate)}",
-        ]
-        for key in sorted(extra or {}):
-            lines.append(f"{key}={extra[key]}")
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    lines = [
+        f"method={amap.method}",
+        f"target_class={amap.target_class}",
+        f"config_digest={amap.config_digest}",
+        f"min={lo!r}",
+        f"max={hi!r}",
+        f"degenerate={int(norm.degenerate)}",
+    ]
+    for key in sorted(extra or {}):
+        lines.append(f"{key}={extra[key]}")
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # Method name -> map builder called as ``METHODS[name](model, x, c, occ_cfg,

@@ -8,23 +8,33 @@ sidecars, manifest header keys). A ``run-status`` file next to each
 command's outputs is written as ``running`` first and ``ok`` last, so an
 interrupted run leaves a visible flag instead of silently partial outputs.
 
-Shared configuration comes from a JSON run manifest (``--manifest``):
+Shared configuration comes from a JSON run manifest (``--manifest``); this
+example sets every key it accepts:
 
     {
       "seed": 42,
       "dataset": "data/dataset.txt",
-      "train": {"epochs": 30, "learning_rate": 0.001, "batch_size": 32},
-      "attack": {"epsilon": 0.01568, "step_size": 0.00392, "iters": 10},
-      "train_attack": {"epsilon": 0.01568, "step_size": 0.00784, "iters": 5},
-      "occlusion": {"patch": [8, 8], "stride": [4, 4], "baseline_value": 0.0},
+      "train": {"epochs": 30, "learning_rate": 0.001, "batch_size": 32, "head_only": false},
+      "attack": {"epsilon": 0.01568, "step_size": 0.00392, "iters": 10, "random_start": false},
+      "train_attack": {"epsilon": 0.01568, "step_size": 0.00784, "iters": 5,
+                       "random_start": false},
+      "occlusion": {"patch": [8, 8], "stride": [4, 4], "baseline_value": 0.0,
+                    "per_channel": false},
       "integrated_gradients": {"n_steps": 20, "baseline": "zero"},
       "deeplift": {"reference": "zero"},
       "coverage": {"percentiles": [15, 75, 85, 95], "split": "test"}
     }
 
 All keys are optional except ``dataset`` for the commands that read one;
-relative paths resolve against the manifest's directory. A ``"mean"``
-IG baseline or DeepLIFT reference is the per-channel train-split mean image;
+relative paths resolve against the manifest's directory. One table,
+``_SECTIONS``, gives each section's keys and their JSON types. A section's
+keys go by name to its config class (``TrainConfig``, ``AttackConfig``,
+``OcclusionConfig``, ``PathConfig``), so their defaults and range checks
+live there; a ``[h, w]`` pair fills the ``_h``/``_w`` fields. A wrong type,
+an unknown key inside a section or an out-of-range value raises
+``ManifestError`` naming the manifest and the ``section.key``; other
+top-level keys are ignored. A ``"mean"`` IG baseline
+or DeepLIFT reference is the per-channel train-split mean image;
 ``attribute`` and ``coverage`` build the same maps from these settings.
 """
 
@@ -50,122 +60,171 @@ __all__ = ["main", "ManifestError", "load_run_manifest"]
 
 
 class ManifestError(ValueError):
-    """Raised when the run manifest is missing or malformed; names the field."""
+    """Raised when the run manifest is missing or malformed; names the manifest and the field."""
 
 
-@dataclass
-class RunManifest:
-    seed: int = 0
-    dataset: Path | None = None
-    train_cfg: TrainConfig = TrainConfig()
-    eval_attack: AttackConfig = AttackConfig()
-    train_attack: AttackConfig = AttackConfig(step_size=2 / 255, iters=5)
-    occlusion_cfg: OcclusionConfig = OcclusionConfig()
-    ig_steps: int = 20
-    ig_baseline: str = "zero"  # "zero" | "mean"
-    deeplift_reference: str = "zero"
+def _fail(path: Path, field: str, problem: str):
+    raise ManifestError(f"manifest {path}: field {field!r}: {problem}")
+
+
+# JSON type of a manifest value -> (whether a parsed value has it, its config form)
+_JSON_TYPES = {
+    "integer": (lambda v: type(v) is int, int),
+    "number": (lambda v: type(v) in (int, float), float),
+    "boolean": (lambda v: type(v) is bool, bool),
+    "string": (lambda v: type(v) is str, str),
+    "[integer, integer]": (
+        lambda v: type(v) is list and len(v) == 2 and all(type(d) is int for d in v),
+        tuple,
+    ),
+    "[number, ...]": (
+        lambda v: type(v) is list and all(type(nu) in (int, float) for nu in v),
+        lambda v: tuple(float(nu) for nu in v),
+    ),
+}
+_PAIR = "[integer, integer]"
+
+
+def _typed(path: Path, field: str, value, json_type: str):
+    has_type, convert = _JSON_TYPES[json_type]
+    if not has_type(value):
+        _fail(path, field, f"must be {json_type}, got {json.dumps(value)}")
+    return convert(value)
+
+
+def _check_zero_or_mean(key: str, value: str) -> None:
+    if value not in ("zero", "mean"):
+        raise ValueError(f"{key} must be 'zero' or 'mean', got {value!r}")
+
+
+@dataclass(frozen=True)
+class _IGSection(PathConfig):
+    """``integrated_gradients``: ``PathConfig``'s fields, with ``baseline``
+    naming the image ("zero" or "mean") that ``_map_inputs`` builds."""
+
+    baseline: str = "zero"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_zero_or_mean("baseline", self.baseline)
+
+
+@dataclass(frozen=True)
+class _DeepLiftSection:
+    reference: str = "zero"
+
+    def __post_init__(self):
+        _check_zero_or_mean("reference", self.reference)
+
+
+@dataclass(frozen=True)
+class _CoverageSection:
     percentiles: tuple = (15.0, 75.0, 85.0, 95.0)
-    split: str = "test"
+    split: str = "test"  # also the split that ``attack`` scores
 
 
-def _field(payload, section, key, default, cast):
-    raw = payload.get(section, {})
+_ATTACK_KEYS = {
+    "epsilon": "number",
+    "step_size": "number",
+    "iters": "integer",
+    "random_start": "boolean",
+}
+
+# Manifest section -> (config class its keys go to by name, preset fields,
+# {key: JSON type}). A config class with a ``seed`` field gets the run's seed.
+_SECTIONS = {
+    "train": (
+        TrainConfig,
+        {},
+        {
+            "epochs": "integer",
+            "learning_rate": "number",
+            "batch_size": "integer",
+            "head_only": "boolean",
+        },
+    ),
+    "attack": (AttackConfig, {}, _ATTACK_KEYS),
+    "train_attack": (AttackConfig, {"step_size": 2 / 255, "iters": 5}, _ATTACK_KEYS),
+    "occlusion": (
+        OcclusionConfig,
+        {},
+        {"patch": _PAIR, "stride": _PAIR, "baseline_value": "number", "per_channel": "boolean"},
+    ),
+    "integrated_gradients": (_IGSection, {}, {"n_steps": "integer", "baseline": "string"}),
+    "deeplift": (_DeepLiftSection, {}, {"reference": "string"}),
+    "coverage": (_CoverageSection, {}, {"percentiles": "[number, ...]", "split": "string"}),
+}
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """A loaded run manifest: the seed, the dataset path and one config per section."""
+
+    path: Path
+    seed: int
+    dataset: Path | None
+    train: TrainConfig
+    attack: AttackConfig  # the evaluation attack
+    train_attack: AttackConfig
+    occlusion: OcclusionConfig
+    integrated_gradients: _IGSection
+    deeplift: _DeepLiftSection
+    coverage: _CoverageSection
+
+
+def _section(path: Path, name: str, raw, seed: int):
+    """Build section ``name``; each key is checked for its type, then by its config class."""
+    cls, presets, keys = _SECTIONS[name]
     if not isinstance(raw, dict):
-        raise ManifestError(f"field {section!r} must be an object")
-    if key not in raw:
-        return default
-    try:
-        return cast(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"field {section}.{key!r}: {exc}") from None
+        _fail(path, name, f"must be an object, got {json.dumps(raw)}")
+    args = dict(presets)
+    if "seed" in cls.__dataclass_fields__:
+        args["seed"] = seed
+    cfg = cls(**args)
+    for key, value in raw.items():
+        field = f"{name}.{key}"
+        if key not in keys:
+            _fail(path, field, f"unknown key; {name} takes {', '.join(keys)}")
+        value = _typed(path, field, value, keys[key])
+        if keys[key] == _PAIR:
+            args.update({f"{key}_h": value[0], f"{key}_w": value[1]})
+        else:
+            args[key] = value
+        try:
+            cfg = cls(**args)
+        except ValueError as exc:
+            _fail(path, field, str(exc))
+    return cfg
 
 
 def load_run_manifest(path, seed_override=None) -> RunManifest:
+    """Read the JSON run manifest at ``path``; ``seed_override`` replaces its seed."""
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"field 'manifest': file {path} does not exist")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    if not path.is_file():
+        _fail(path, "manifest", "no such file")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"field 'manifest': invalid JSON ({exc})") from None
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        _fail(path, "manifest", f"invalid JSON ({exc})")
+    if not isinstance(payload, dict):
+        _fail(path, "manifest", f"must be a JSON object, got {type(payload).__name__}")
 
-    base = path.parent
-    rm = RunManifest()
-    if "seed" in payload:
-        try:
-            rm.seed = int(payload["seed"])
-        except (TypeError, ValueError):
-            raise ManifestError("field 'seed': must be an integer") from None
+    seed = _typed(path, "seed", payload.get("seed", 0), "integer")
     if seed_override is not None:
-        rm.seed = int(seed_override)
+        seed = int(seed_override)
+    dataset = None
     if "dataset" in payload:
-        rm.dataset = base / str(payload["dataset"])
-        if not rm.dataset.exists():
-            raise ManifestError(f"field 'dataset': file {rm.dataset} does not exist")
-
-    try:
-        rm.train_cfg = TrainConfig(
-            epochs=_field(payload, "train", "epochs", 30, int),
-            learning_rate=_field(payload, "train", "learning_rate", 1e-3, float),
-            batch_size=_field(payload, "train", "batch_size", 32, int),
-            head_only=_field(payload, "train", "head_only", False, bool),
-            seed=rm.seed,
-        )
-    except ValueError as exc:
-        raise ManifestError(f"field 'train': {exc}") from None
-
-    def attack_from(section, default):
-        try:
-            return AttackConfig(
-                epsilon=_field(payload, section, "epsilon", default.epsilon, float),
-                step_size=_field(payload, section, "step_size", default.step_size, float),
-                iters=_field(payload, section, "iters", default.iters, int),
-                random_start=_field(payload, section, "random_start", False, bool),
-                seed=rm.seed,
-            )
-        except ValueError as exc:
-            raise ManifestError(f"field {section!r}: {exc}") from None
-
-    rm.eval_attack = attack_from("attack", rm.eval_attack)
-    rm.train_attack = attack_from("train_attack", rm.train_attack)
-
-    try:
-        patch = _field(payload, "occlusion", "patch", (8, 8), tuple)
-        stride = _field(payload, "occlusion", "stride", (4, 4), tuple)
-        rm.occlusion_cfg = OcclusionConfig(
-            patch_h=int(patch[0]),
-            patch_w=int(patch[1]),
-            stride_h=int(stride[0]),
-            stride_w=int(stride[1]),
-            baseline_value=_field(payload, "occlusion", "baseline_value", 0.0, float),
-            per_channel=_field(payload, "occlusion", "per_channel", False, bool),
-        )
-    except (ValueError, IndexError) as exc:
-        raise ManifestError(f"field 'occlusion': {exc}") from None
-
-    rm.ig_steps = _field(payload, "integrated_gradients", "n_steps", 20, int)
-    if rm.ig_steps < 1:
-        raise ManifestError("field 'integrated_gradients.n_steps': must be >= 1")
-    rm.ig_baseline = _field(payload, "integrated_gradients", "baseline", "zero", str)
-    if rm.ig_baseline not in ("zero", "mean"):
-        raise ManifestError("field 'integrated_gradients.baseline': must be 'zero' or 'mean'")
-    rm.deeplift_reference = _field(payload, "deeplift", "reference", "zero", str)
-    if rm.deeplift_reference not in ("zero", "mean"):
-        raise ManifestError("field 'deeplift.reference': must be 'zero' or 'mean'")
-
-    pct = _field(payload, "coverage", "percentiles", rm.percentiles, tuple)
-    try:
-        rm.percentiles = tuple(float(nu) for nu in pct)
-    except (TypeError, ValueError):
-        raise ManifestError("field 'coverage.percentiles': must be numbers") from None
-    rm.split = _field(payload, "coverage", "split", "test", str)
-    return rm
+        dataset = path.parent / _typed(path, "dataset", payload["dataset"], "string")
+        if not dataset.exists():
+            _fail(path, "dataset", f"file {dataset} does not exist")
+    sections = {name: _section(path, name, payload.get(name, {}), seed) for name in _SECTIONS}
+    return RunManifest(path=path, seed=seed, dataset=dataset, **sections)
 
 
 def _require_dataset(rm: RunManifest):
     if rm.dataset is None:
-        raise ManifestError("field 'dataset': required by this command but missing")
+        _fail(rm.path, "dataset", "required by this command but missing")
     return load_dataset(rm.dataset)
 
 
@@ -224,11 +283,11 @@ def cmd_train(args) -> int:
             c, h, w = ds.image_shape
             model = tiny_cnn(rm.seed, input_shape=(c, h, w), class_names=ds.class_names)
         if args.mode == "standard":
-            result = train(model, ds, rm.train_cfg)
-            digest = _train_digest(rm.train_cfg, None, args.init and Path(args.init).name)
+            result = train(model, ds, rm.train)
+            digest = _train_digest(rm.train, None, args.init and Path(args.init).name)
         else:
-            result = adv_train(model, ds, rm.train_attack, rm.train_cfg)
-            digest = _train_digest(rm.train_cfg, rm.train_attack, args.init and Path(args.init).name)
+            result = adv_train(model, ds, rm.train_attack, rm.train)
+            digest = _train_digest(rm.train, rm.train_attack, args.init and Path(args.init).name)
 
         out_model.parent.mkdir(parents=True, exist_ok=True)
         save_model(result.model, out_model, meta={"seed": rm.seed, "config": digest})
@@ -251,13 +310,14 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     rm = load_run_manifest(args.manifest, seed_override=args.seed)
     ds = _require_dataset(rm)
+    split, atk = rm.coverage.split, rm.attack
     out_path = Path(args.out)
     with _RunStatus(out_path.with_name(out_path.name + ".status"), "attack", rm.seed):
         reports = []
         for model_path in args.models:
             model, _ = load_model(model_path)
-            clean = 100.0 * evaluate(model, ds, rm.split, batch_size=32)
-            adv = 100.0 * adv_accuracy(model, ds, rm.split, rm.eval_attack)
+            clean = 100.0 * evaluate(model, ds, split)
+            adv = 100.0 * adv_accuracy(model, ds, split, atk)
             reports.append(
                 RobustnessReport(Path(model_path).stem, clean, adv, delta_acc(clean, adv))
             )
@@ -270,8 +330,8 @@ def cmd_attack(args) -> int:
             {
                 "seed": rm.seed,
                 "config": (
-                    f"pgd_eps={rm.eval_attack.epsilon!r};pgd_step={rm.eval_attack.step_size!r};"
-                    f"pgd_iters={rm.eval_attack.iters};split={rm.split}"
+                    f"pgd_eps={atk.epsilon!r};pgd_step={atk.step_size!r};"
+                    f"pgd_iters={atk.iters};split={split}"
                 ),
             },
         )
@@ -281,11 +341,11 @@ def cmd_attack(args) -> int:
 
 def _map_inputs(rm: RunManifest, ds):
     """The IG path and the DeepLIFT reference that the manifest selects."""
+    ig, ref = rm.integrated_gradients, rm.deeplift.reference
     zero = Tensor(np.zeros(ds.image_shape))
-    mean = mean_baseline(ds) if "mean" in (rm.ig_baseline, rm.deeplift_reference) else None
-    ig_base = zero if rm.ig_baseline == "zero" else mean
-    ref = zero if rm.deeplift_reference == "zero" else mean
-    return PathConfig(baseline=ig_base, n_steps=rm.ig_steps), ref
+    mean = mean_baseline(ds) if "mean" in (ig.baseline, ref) else None
+    ig_base = zero if ig.baseline == "zero" else mean
+    return PathConfig(baseline=ig_base, n_steps=ig.n_steps), zero if ref == "zero" else mean
 
 
 def _parse_methods(raw) -> list:
@@ -313,7 +373,7 @@ def cmd_attribute(args) -> int:
         for image_id in args.images:
             x = ds.images[ds.index_of(image_id)]
             for method in methods:
-                amap = METHODS[method](model, x, target, rm.occlusion_cfg, path_cfg, ref)
+                amap = METHODS[method](model, x, target, rm.occlusion, path_cfg, ref)
                 stem = f"{image_id}__{method}__c{target}"
                 write_heatmap(
                     amap,
@@ -329,7 +389,7 @@ def cmd_coverage(args) -> int:
     rm = load_run_manifest(args.manifest, seed_override=args.seed)
     ds = _require_dataset(rm)
     methods = _parse_methods(args.methods)
-    percentiles = rm.percentiles if args.percentiles is None else tuple(
+    percentiles = rm.coverage.percentiles if args.percentiles is None else tuple(
         float(v) for chunk in args.percentiles for v in chunk.split(",") if v
     )
     out_path = Path(args.out)
@@ -345,8 +405,8 @@ def cmd_coverage(args) -> int:
             percentiles,
             ds,
             ds.annotations,
-            split=rm.split,
-            occlusion_cfg=rm.occlusion_cfg,
+            split=rm.coverage.split,
+            occlusion_cfg=rm.occlusion,
             path_cfg=path_cfg,
             reference=ref,
         )
@@ -355,8 +415,9 @@ def cmd_coverage(args) -> int:
             out_path,
             {
                 "seed": rm.seed,
-                "config": f"split={rm.split};ig_steps={rm.ig_steps};"
-                f"ig_baseline={rm.ig_baseline};deeplift_reference={rm.deeplift_reference}",
+                "config": f"split={rm.coverage.split};ig_steps={path_cfg.n_steps};"
+                f"ig_baseline={rm.integrated_gradients.baseline};"
+                f"deeplift_reference={rm.deeplift.reference}",
             },
         )
     print(f"wrote {out_path}")

@@ -266,11 +266,26 @@ def save_annotations(ann: AnnotationSet, path, meta=None) -> None:
         fh.write("\n")
 
 
+def _is_point(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
+
+
 def load_annotations(path) -> AnnotationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries = {
-        image_id: tuple((int(x), int(y)) for x, y in points)
-        for image_id, points in payload["entries"].items()
-    }
-    return AnnotationSet(entries=entries)
+    """Read an annotation file; a malformed one raises ``ValueError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValueError(f"annotations {path}: invalid JSON ({exc})") from None
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, dict):
+        raise ValueError(f"annotations {path}: lacks an 'entries' object")
+    for image_id, points in entries.items():
+        if not isinstance(points, list) or not all(map(_is_point, points)):
+            raise ValueError(
+                f"annotations {path}: points of {image_id!r} must be a list of [x, y] integer pairs"
+            )
+    try:
+        return AnnotationSet(entries=entries)
+    except ValueError as exc:  # duplicate points
+        raise ValueError(f"annotations {path}: {exc}") from None

@@ -23,6 +23,7 @@ disk; that round-trip is the single sanctioned precision loss.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -51,6 +52,11 @@ __all__ = [
 
 MAGIC = b"MWF1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+
+# tiny_cnn's conv stage widths and its fixed per-channel input standardization
+TINY_CONV_CHANNELS = (8, 16, 16)
+STDZ_MEAN = 0.5
+STDZ_STD = 0.25
 
 
 class ModelError(ValueError):
@@ -177,18 +183,11 @@ def _init_uniform(rng, shape, fan_in, gain=1.0):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def tiny_cnn(
-    seed: int,
-    input_shape=(1, 64, 64),
-    class_names=("fractured", "healthy"),
-    conv_channels=(8, 16, 16),
-    stdz_mean=0.5,
-    stdz_std=0.25,
-) -> Model:
+def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "healthy")) -> Model:
     """Build the reference small CNN with seeded uniform initialization.
 
     Stack: per-channel standardization, then one 3x3 same-padded conv + ReLU
-    + 2x2 max pool per entry of ``conv_channels``, flatten, and a dense head.
+    + 2x2 max pool per entry of ``TINY_CONV_CHANNELS``, flatten, and a dense head.
     Conv weights draw from U(+-sqrt(6/fan_in)) so activation variance stays
     level through the ReLU stack; the head draws from U(+-1/sqrt(fan_in)).
     """
@@ -196,14 +195,14 @@ def tiny_cnn(
     c_in, h, w = input_shape
     layers = [Standardize(name="stdz", channels=c_in)]
     params = {
-        "stdz.mean": np.full(c_in, float(stdz_mean)),
-        "stdz.std": np.full(c_in, float(stdz_std)),
+        "stdz.mean": np.full(c_in, STDZ_MEAN),
+        "stdz.std": np.full(c_in, STDZ_STD),
     }
     trainable = {"stdz.mean": False, "stdz.std": False}
 
     prev = c_in
     gain = np.sqrt(6.0)
-    for i, ch in enumerate(conv_channels):
+    for i, ch in enumerate(TINY_CONV_CHANNELS):
         conv = Conv2d(name=f"conv{i}", in_channels=prev, out_channels=ch, kernel_h=3, kernel_w=3)
         layers.append(conv)
         fan_in = prev * 9
@@ -282,10 +281,16 @@ def _layer_from_line(text: str):
     return cls(name=kv.get("name", ""), **fields)
 
 
+def _positive_ints(text: str) -> tuple:
+    dims = tuple(int(d) for d in text.split(","))
+    if min(dims) < 1:
+        raise ValueError(f"{text!r} is not a list of positive integers")
+    return dims
+
+
 def _param_from_line(text: str):
     pname, kv = _split_line(text)
-    shape = tuple(int(d) for d in kv["shape"].split(","))
-    return pname, shape, int(kv["offset"]), kv.get("trainable", "1") == "1"
+    return pname, _positive_ints(kv["shape"]), int(kv["offset"]), kv.get("trainable", "1") == "1"
 
 
 def save_model(model: Model, path, meta=None) -> None:
@@ -325,8 +330,9 @@ def load_model(path):
     """Read an MWF1 file back into a Model (parameters widened to float64).
 
     Returns ``(model, meta)`` where ``meta`` holds any ``meta.*`` manifest
-    entries. Bad magic, manifest/blob inconsistencies, and truncation are
-    each rejected with a distinct diagnostic.
+    entries. Bad magic, manifest/blob inconsistencies, truncation and a
+    manifest that does not describe a valid model each raise
+    ``WeightFormatError`` naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -335,7 +341,10 @@ def load_model(path):
     mlen = int.from_bytes(raw[4:8], "little")
     if len(raw) < 8 + mlen:
         raise WeightFormatError(f"truncated manifest in {path}")
-    manifest = raw[8 : 8 + mlen].decode("utf-8")
+    try:
+        manifest = raw[8 : 8 + mlen].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WeightFormatError(f"manifest in {path} is not UTF-8: {exc}") from None
     blob = raw[8 + mlen :]
 
     input_shape = None
@@ -347,16 +356,19 @@ def load_model(path):
         if not line.strip():
             continue
         key, _, value = line.partition("=")
-        if key == "input_shape":
-            input_shape = tuple(int(d) for d in value.split(","))
-        elif key == "classes":
-            class_names = tuple(value.split(","))
-        elif key.startswith("layer."):
-            layer_lines[int(key[6:])] = value
-        elif key.startswith("param."):
-            param_lines[int(key[6:])] = value
-        elif key.startswith("meta."):
-            meta[key[5:]] = value
+        try:
+            if key == "input_shape":
+                input_shape = _positive_ints(value)
+            elif key == "classes":
+                class_names = tuple(value.split(","))
+            elif key.startswith("layer."):
+                layer_lines[int(key[6:])] = value
+            elif key.startswith("param."):
+                param_lines[int(key[6:])] = value
+            elif key.startswith("meta."):
+                meta[key[5:]] = value
+        except ValueError as exc:
+            raise WeightFormatError(f"manifest in {path}: {key}: {exc}") from None
     if input_shape is None or class_names is None:
         raise WeightFormatError(f"manifest in {path} lacks input_shape/classes")
 
@@ -386,10 +398,10 @@ def load_model(path):
                 f"offset inconsistency for {pname!r} in {path}: declared {declared}, "
                 f"expected {offset} (ranges must tile the blob)"
             )
-        nbytes = 4 * int(np.prod(shape))
+        nbytes = 4 * math.prod(shape)
         if offset + nbytes > len(blob):
             raise WeightFormatError(f"truncated blob in {path}: {pname!r} overruns the payload")
-        arr = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)), offset=offset)
+        arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
         params[pname] = arr.astype(np.float64).reshape(shape)
         trainable[pname] = flag
         offset += nbytes
@@ -398,5 +410,8 @@ def load_model(path):
             f"blob size mismatch in {path}: manifest covers {offset} bytes, payload has {len(blob)}"
         )
 
-    model = Model(layers, params, trainable, input_shape, class_names)
+    try:
+        model = Model(layers, params, trainable, input_shape, class_names)
+    except ModelError as exc:
+        raise WeightFormatError(f"manifest in {path} describes no valid model: {exc}") from None
     return model, meta

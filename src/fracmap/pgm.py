@@ -39,7 +39,11 @@ def write_pgm(path, gray: np.ndarray, comment: str | None = None) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a uint8 array of shape (height, width)."""
+    """Read a binary PGM into a uint8 array of shape (height, width).
+
+    A file that is not a P5 PGM with maxval 255, or whose header or pixel
+    payload is cut short, raises ``ValueError`` naming the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -58,12 +62,17 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token:
+            raise ValueError(f"{path}: header is truncated")
+        if not token.isdigit() or int(token) == 0:
+            raise ValueError(f"{path}: header field {token!r} is not a positive integer")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (expected 255)")
+    if len(data) - pos < h * w:
+        raise ValueError(f"{path}: pixel payload is truncated (expected {h * w} bytes)")
     pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
-    if pixels.size != h * w:
-        raise ValueError(f"{path}: pixel payload is truncated")
     return pixels.reshape(h, w).copy()

@@ -44,30 +44,29 @@ __all__ = [
 CLASS_NAMES = ("fractured", "healthy")
 FRACTURED, HEALTHY = 0, 1
 
+# Fixed look of every corpus; ranges are (low, high) draws per image.
+BASE_RANGE = (0.10, 0.20)  # background level
+BLOB_COUNT = (2, 5)  # half-open, rng.integers convention
+NOISE_SIGMA = 0.025
+BONE_BRIGHTNESS = (0.60, 0.80)
+CRACK_DEPTH = (0.35, 0.55)  # multiplicative darkening
+CRACK_HALFWIDTH = (1.0, 1.4)
+ANNOTATION_POINTS = 5  # per fracture, before deduplication
+CHANNEL_GAINS = (1.0, 0.94, 0.88)  # per channel of a 3-channel corpus
+
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator geometry, contrast, and split fractions."""
+    """Generator geometry and split fractions."""
 
     height: int = 64
     width: int = 64
-    channels: int = 1
+    channels: int = 1  # 3 exercises the channel-reduction logic
     train_frac: float = 0.8
     val_frac: float = 0.1
-    # background
-    base_range: tuple = (0.10, 0.20)
-    blob_count: tuple = (2, 5)  # half-open, rng.integers convention
-    noise_sigma: float = 0.025
     # bone capsule
-    bone_brightness: tuple = (0.60, 0.80)
     bone_halfwidth: tuple = (4.0, 6.5)
     bone_halflen_frac: tuple = (0.34, 0.46)
-    # crack
-    crack_depth: tuple = (0.35, 0.55)  # multiplicative darkening
-    crack_halfwidth: tuple = (1.0, 1.4)
-    annotation_points: int = 5
-    # optional 3-channel emission for channel-reduction logic
-    channel_gains: tuple = (1.0, 0.94, 0.88)
 
     def __post_init__(self):
         if self.height < 8 or self.width < 8:
@@ -76,8 +75,6 @@ class SynthConfig:
             raise ValueError("channels must be 1 or 3")
         if self.train_frac < 0 or self.val_frac < 0 or self.train_frac + self.val_frac > 1:
             raise ValueError("split fractions must be nonnegative and sum to <= 1")
-        if self.annotation_points < 1:
-            raise ValueError("need at least one annotation point per fracture")
 
 
 @dataclass
@@ -180,16 +177,16 @@ def render_sample(rng: np.random.Generator, cfg: SynthConfig, fractured: bool) -
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
 
     # background: base level, faint ramp, soft blobs, smoothed pixel noise
-    img = np.full((h, w), rng.uniform(*cfg.base_range))
+    img = np.full((h, w), rng.uniform(*BASE_RANGE))
     gx, gy = rng.uniform(-0.05, 0.05, size=2)
     img += gx * (xx / w - 0.5) + gy * (yy / h - 0.5)
-    for _ in range(int(rng.integers(*cfg.blob_count))):
+    for _ in range(int(rng.integers(*BLOB_COUNT))):
         cx, cy = rng.uniform(0, w), rng.uniform(0, h)
         s = rng.uniform(6.0, 16.0)
         img += rng.uniform(0.03, 0.10) * np.exp(
             -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * s * s)
         )
-    img += cfg.noise_sigma * _smooth(rng.normal(0.0, 1.0, (h, w)))
+    img += NOISE_SIGMA * _smooth(rng.normal(0.0, 1.0, (h, w)))
 
     # bone: bright anti-aliased capsule through the center region
     theta = rng.uniform(0.0, math.pi)
@@ -202,7 +199,7 @@ def render_sample(rng: np.random.Generator, cfg: SynthConfig, fractured: bool) -
     tc = np.clip(t_axis, -halflen, halflen)
     dist = np.hypot(xx - (ccx + tc * ux), yy - (ccy + tc * uy))
     alpha = np.clip((halfwid - dist) / 1.2, 0.0, 1.0)
-    brightness = rng.uniform(*cfg.bone_brightness)
+    brightness = rng.uniform(*BONE_BRIGHTNESS)
     # slightly darker medullary core so the bone is not flat
     d_perp = -(xx - ccx) * uy + (yy - ccy) * ux
     bone_val = brightness * (1.0 - 0.10 * np.exp(-((d_perp / (0.5 * halfwid)) ** 2)))
@@ -229,9 +226,9 @@ def render_sample(rng: np.random.Generator, cfg: SynthConfig, fractured: bool) -
         d_crack = np.full((h, w), np.inf)
         for (ax, ay), (bx, by) in zip(verts[:-1], verts[1:]):
             d_crack = np.minimum(d_crack, _segment_distance(xx, yy, ax, ay, bx, by))
-        cw = rng.uniform(*cfg.crack_halfwidth)
+        cw = rng.uniform(*CRACK_HALFWIDTH)
         crack_alpha = np.clip((cw - d_crack) / 0.5, 0.0, 1.0) * (alpha > 0.5)
-        depth = rng.uniform(*cfg.crack_depth)
+        depth = rng.uniform(*CRACK_DEPTH)
         img = img * (1.0 - crack_alpha * depth)
 
         # annotation points: spine pixels well inside the bone, deduplicated
@@ -242,7 +239,7 @@ def render_sample(rng: np.random.Generator, cfg: SynthConfig, fractured: bool) -
             for px, py in [(c0x + s * vx + j * 0.8 * ux, c0y + s * vy + j * 0.8 * uy)]
         ]
         chosen = []
-        want = cfg.annotation_points
+        want = ANNOTATION_POINTS
         for k in range(want):
             pos = k * (len(inner) - 1) / max(1, want - 1)
             px, py = inner[int(round(pos))]
@@ -282,7 +279,7 @@ def _split_counts(per_class: int, cfg: SynthConfig):
 def _to_channels(img2d: np.ndarray, cfg: SynthConfig) -> np.ndarray:
     if cfg.channels == 1:
         return img2d[None]
-    stacked = np.stack([np.clip(img2d * g, 0.0, 1.0) for g in cfg.channel_gains])
+    stacked = np.stack([np.clip(img2d * g, 0.0, 1.0) for g in CHANNEL_GAINS])
     return to_unit(to_bytes_gray(stacked))
 
 
@@ -355,27 +352,45 @@ def save_dataset(ds: Dataset, out_dir) -> tuple:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Read a dataset manifest plus its images and annotations."""
+    """Read a dataset manifest plus its images and annotations.
+
+    A malformed manifest, a row whose image cannot be read or differs from
+    the ``image_size=`` header, and a malformed annotation file each raise
+    ``ValueError`` naming the manifest (and the line, for a bad row or
+    header value).
+    """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     seed = None
+    image_size = None
     class_names = CLASS_NAMES
     ann_path = None
     rows = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        try:
             if key == "seed":
                 seed = int(value) if value else None
+            elif key == "image_size":
+                image_size = tuple(int(d) for d in value.split("x"))
             elif key == "classes":
                 class_names = tuple(value.split(","))
             elif key == "annotations":
                 ann_path = base / value
             elif key == "image":
                 rows.append((lineno, value.split()))
+        except ValueError:  # from a seed= or image_size= value
+            kind = "an integer" if key == "seed" else "CxHxW integers"
+            raise ValueError(
+                f"manifest {manifest_path}, line {lineno}: {key}={value!r} is not {kind}"
+            ) from None
     if ann_path is None or not rows:
         raise ValueError(f"manifest {manifest_path} lacks an annotations entry or image rows")
 
@@ -392,17 +407,28 @@ def load_dataset(manifest_path) -> Dataset:
             raise ValueError(
                 f"{where}: label={kv['label']!r} is not one of the classes {list(class_names)}"
             )
-        gray = to_unit(read_pgm(base / parts[0]))
-        images.append(Tensor(gray[None]))
+        try:
+            image = Tensor(to_unit(read_pgm(base / parts[0]))[None])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if image_size is not None and image.shape != image_size:
+            raise ValueError(
+                f"{where}: image {kv['id']!r} has shape {image.shape}, but the header's "
+                f"image_size= gives {image_size}"
+            )
+        images.append(image)
         labels.append(class_names.index(kv["label"]))
         split.append(kv["split"])
         ids.append(kv["id"])
-    return Dataset(
-        images=images,
-        labels=labels,
-        split=split,
-        ids=ids,
-        annotations=load_annotations(ann_path),
-        class_names=class_names,
-        seed=seed,
-    )
+    try:
+        return Dataset(
+            images=images,
+            labels=labels,
+            split=split,
+            ids=ids,
+            annotations=load_annotations(ann_path),
+            class_names=class_names,
+            seed=seed,
+        )
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"manifest {manifest_path}: {exc}") from None

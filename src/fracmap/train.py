@@ -18,11 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackConfig, pgd_batch
+from .attack import EVAL_BATCH, AttackConfig, pgd_batch
 from .autodiff import backward_batch, forward_batch
 from .loss import cross_entropy, cross_entropy_grad
 
 __all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "adv_train", "evaluate"]
+
+
+# Adam's moment decay rates and denominator guard (the Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -36,9 +42,6 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 1e-3
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     head_only: bool = False
     seed: int = 0
 
@@ -68,8 +71,8 @@ class _Adam:
     def step(self, work, grads):
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name in self.names:
             g = grads[name]
             m = self.m.get(name)
@@ -77,11 +80,11 @@ class _Adam:
                 m = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
             v = self.v[name]
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
             self.m[name], self.v[name] = m, v
             work[name] = work[name] - cfg.learning_rate * (m / bc1) / (
-                np.sqrt(v / bc2) + cfg.adam_eps
+                np.sqrt(v / bc2) + ADAM_EPS
             )
 
 
@@ -143,10 +146,10 @@ def adv_train(model, ds, atk: AttackConfig, cfg: TrainConfig) -> TrainResult:
     return _fit(model, ds, cfg, perturb=perturb)
 
 
-def evaluate(model, ds, split: str, batch_size: int = 32) -> float:
+def evaluate(model, ds, split: str) -> float:
     """Fraction of argmax-correct predictions on a split, in [0, 1]."""
     correct = total = 0
-    for xb, yb in ds.batches(split, batch_size):
+    for xb, yb in ds.batches(split, EVAL_BATCH):
         logits, _ = forward_batch(model, xb)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         total += len(yb)

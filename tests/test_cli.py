@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracmap.attribution import PathConfig, mean_baseline
-from fracmap.cli import load_run_manifest, main
+from fracmap.attack import AttackConfig
+from fracmap.attribution import OcclusionConfig, PathConfig, mean_baseline
+from fracmap.cli import ManifestError, load_run_manifest, main
 from fracmap.coverage import coverage_table
 from fracmap.model import load_model
 from fracmap.pgm import read_pgm
 from fracmap.synth import load_dataset
 from fracmap.tensor import Tensor
+from fracmap.train import TrainConfig
 
 SEED = 13
 N = 16  # per-class 8 -> 6 train / 1 val / 1 test each
@@ -129,6 +131,61 @@ class TestTrain:
         rc = main(["train", "--manifest", str(tmp_path / "rm.json"), "--mode", "standard", "--out", str(tmp_path / "m.mwf")])
         assert rc != 0
         assert "train" in capsys.readouterr().err
+
+
+class TestManifestKeys:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"train": {"head_only": "false"}}, "train.head_only"),
+            ({"coverage": {"percentiles": "85"}}, "coverage.percentiles"),
+            ({"train": {"epochs": 2.7}}, "train.epochs"),
+            ({"train": {"epoch": 2}}, "train.epoch"),
+            ([{"train": {"epochs": 2}}], "manifest"),
+            ({"occlusion": {"stride": [4, 0]}}, "occlusion.stride"),
+        ],
+        ids=["string-bool", "string-list", "float-int", "unknown-key", "top-level-list", "range"],
+    )
+    def test_defect_names_manifest_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "rm.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError) as err:
+            load_run_manifest(path)
+        assert str(path) in str(err.value) and repr(field) in str(err.value)
+
+    def test_directory_is_not_a_manifest(self, tmp_path):
+        with pytest.raises(ManifestError, match="no such file") as err:
+            load_run_manifest(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    def test_defaults_come_from_the_config_classes(self, tmp_path):
+        (tmp_path / "rm.json").write_text(json.dumps({"seed": 4}))
+        rm = load_run_manifest(tmp_path / "rm.json")
+        assert rm.train == TrainConfig(seed=4)
+        assert rm.attack == AttackConfig(seed=4)
+        assert rm.train_attack == AttackConfig(step_size=2 / 255, iters=5, seed=4)
+        assert rm.occlusion == OcclusionConfig()
+        assert rm.integrated_gradients.n_steps == PathConfig(baseline=Tensor(np.zeros(1))).n_steps
+
+    def test_every_key_reaches_its_config(self, tmp_path):
+        manifest = {
+            "train": {"epochs": 3, "learning_rate": 0.5, "batch_size": 5, "head_only": True},
+            "attack": {"epsilon": 0.25, "step_size": 0.125, "iters": 4, "random_start": True},
+            "train_attack": {"epsilon": 0.5, "step_size": 1, "iters": 3, "random_start": True},
+            "occlusion": {"patch": [6, 4], "stride": [3, 2], "baseline_value": 0.25, "per_channel": True},
+            "integrated_gradients": {"n_steps": 12, "baseline": "mean"},
+            "deeplift": {"reference": "mean"},
+            "coverage": {"percentiles": [0, 50.5], "split": "val"},
+        }
+        (tmp_path / "rm.json").write_text(json.dumps(manifest))
+        rm = load_run_manifest(tmp_path / "rm.json", seed_override=9)
+        assert rm.train == TrainConfig(epochs=3, learning_rate=0.5, batch_size=5, head_only=True, seed=9)
+        assert rm.attack == AttackConfig(0.25, 0.125, 4, random_start=True, seed=9)
+        assert rm.train_attack == AttackConfig(0.5, 1.0, 3, random_start=True, seed=9)
+        assert rm.occlusion == OcclusionConfig(6, 4, 3, 2, baseline_value=0.25, per_channel=True)
+        ig = rm.integrated_gradients
+        assert (ig.n_steps, ig.baseline, rm.deeplift.reference) == (12, "mean", "mean")
+        assert (rm.coverage.percentiles, rm.coverage.split) == ((0.0, 50.5), "val")
 
 
 @pytest.fixture(scope="module")

@@ -190,6 +190,28 @@ class TestManifestFields:
         with pytest.raises(WeightFormatError, match=r"layer\.1: token 'kh'"):
             load_model(saved)
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("layer.3=", "layer.x=", "layer.x"),
+            ("param.2=", "param.2b=", "param.2b"),
+            ("input_shape=1,16,16", "input_shape=1,a,16", "input_shape"),
+            ("classes=fractured,healthy", "classes=a,b,c", "describes no valid model"),
+        ],
+    )
+    def test_bad_index_shape_or_model_named(self, saved, old, new, named):
+        _rewrite_manifest(saved, lambda text: text.replace(old, new, 1))
+        with pytest.raises(WeightFormatError) as err:
+            load_model(saved)
+        assert str(saved) in str(err.value) and named in str(err.value)
+
+    def test_non_utf8_manifest_named(self, saved):
+        raw = saved.read_bytes()
+        saved.write_bytes(raw.replace(b"classes=", b"classes=\xff", 1))
+        with pytest.raises(WeightFormatError) as err:
+            load_model(saved)
+        assert str(saved) in str(err.value) and "UTF-8" in str(err.value)
+
     def test_non_integer_value_named(self, saved):
         _rewrite_manifest(saved, lambda text: text.replace(" out=2\n", " out=abc\n", 1))
         with pytest.raises(WeightFormatError, match=r"layer\.11: .*'abc'") as err:

@@ -125,6 +125,34 @@ class TestDiskFormat:
         message = str(err.value)
         assert "'img_0002'" in message and "(1, 32, 32)" in message and "(1, 64, 64)" in message
 
+    def test_image_size_header_is_checked(self, tmp_path):
+        manifest, _ = save_dataset(generate_dataset(seed=8, n=4, cfg=SMALL_CFG), tmp_path)
+        manifest.write_text(manifest.read_text().replace("image_size=1x32x32", "image_size=1x64x64"))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert str(manifest) in message and "'img_0000'" in message
+        assert "(1, 32, 32)" in message and "(1, 64, 64)" in message
+
+    @pytest.mark.parametrize(
+        "file, text, named",
+        [
+            ("dataset.txt", None, "seed='eight'"),
+            ("annotations.json", "{", "invalid JSON"),
+            ("annotations.json", '{"meta": {}}', "'entries'"),
+            ("annotations.json", '{"entries": {"img_0000": [[3, 4, 5]]}}', "'img_0000'"),
+        ],
+        ids=["seed", "annotations-json", "annotations-entries", "annotations-point"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, file, text, named):
+        manifest, _ = save_dataset(generate_dataset(seed=8, n=4, cfg=SMALL_CFG), tmp_path)
+        path = tmp_path / file
+        path.write_text(text or path.read_text().replace("seed=8", "seed=eight"))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert str(path) in message and named in message
+
     def test_manifest_lists_paths_labels_splits(self, tmp_path):
         ds = generate_dataset(seed=8, n=4, cfg=SMALL_CFG)
         manifest, ann = save_dataset(ds, tmp_path)
@@ -149,6 +177,23 @@ class TestDiskFormat:
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ValueError, match="P5"):
             read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            (b"P5\n4 ", "header is truncated"),
+            (b"P5\n4 x4\n255\n" + bytes(16), "b'x4'"),
+            (b"P5\n0 4\n255\n", "b'0'"),
+            (b"P5\n4 4\n255\n" + bytes(10), "payload is truncated"),
+        ],
+        ids=["short-header", "non-integer", "zero-width", "short-payload"],
+    )
+    def test_read_pgm_names_file(self, tmp_path, data, named):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(path) in str(err.value) and named in str(err.value)
 
 
 class TestBatches:

@@ -3,6 +3,9 @@
 # of its artifacts under OUT: a 24-image 32x32 corpus, a standard and an
 # adversarial model, the robustness CSV, and heatmaps plus a coverage table
 # for all four attribution methods under zero and under mean references.
+# A third manifest, all.json, sets every run-manifest key explicitly, most
+# of them away from their defaults, and drives a warm-started adversarial
+# training run, a robustness CSV, heatmaps and a coverage table of its own.
 #
 #   tools/cli_tree.sh TREE OUT      (under 10 s on a 2-vCPU host)
 #
@@ -45,6 +48,20 @@ for ref in zero mean; do
 JSON
 done
 
+cat >"$out/all.json" <<JSON
+{
+  "seed": 7,
+  "dataset": "data/dataset.txt",
+  "train": {"epochs": 3, "learning_rate": 0.002, "batch_size": 5, "head_only": false},
+  "attack": {"epsilon": 0.0196, "step_size": 0.0059, "iters": 4, "random_start": true},
+  "train_attack": {"epsilon": 0.0118, "step_size": 0.0039, "iters": 3, "random_start": false},
+  "occlusion": {"patch": [6, 4], "stride": [3, 2], "baseline_value": 0.25, "per_channel": true},
+  "integrated_gradients": {"n_steps": 12, "baseline": "mean"},
+  "deeplift": {"reference": "zero"},
+  "coverage": {"percentiles": [0, 50, 90], "split": "val"}
+}
+JSON
+
 fm train --manifest "$out/zero.json" --mode standard --out "$out/models/std.mwf"
 fm train --manifest "$out/zero.json" --mode adversarial --out "$out/models/adv.mwf"
 fm attack --manifest "$out/zero.json" --models "$out/models/std.mwf" "$out/models/adv.mwf" \
@@ -56,3 +73,12 @@ for ref in zero mean; do
     fm coverage --manifest "$out/$ref.json" --models "$out/models/std.mwf" "$out/models/adv.mwf" \
         --methods "$methods" --out "$out/coverage_$ref.csv"
 done
+fm train --manifest "$out/all.json" --mode adversarial --init "$out/models/std.mwf" \
+    --out "$out/models/all_adv.mwf"
+fm attack --manifest "$out/all.json" --models "$out/models/std.mwf" "$out/models/all_adv.mwf" \
+    --out "$out/attack_all.csv"
+# shellcheck disable=SC2086
+fm attribute --manifest "$out/all.json" --model "$out/models/all_adv.mwf" --methods "$methods" \
+    --images $images --out "$out/maps_all"
+fm coverage --manifest "$out/all.json" --models "$out/models/std.mwf" "$out/models/all_adv.mwf" \
+    --methods "$methods" --out "$out/coverage_all.csv"
