@@ -7,7 +7,7 @@ point-coverage metric. Everything is seeded and reproducible; see the CLI in
 ``fracmap.cli`` for the file-based pipeline.
 """
 
-from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, pgd, rank_models
+from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
 from .attribution import (
     AttributionMap,
     OcclusionConfig,
@@ -27,7 +27,7 @@ from .coverage import (
     point_coverage,
     threshold_mask,
 )
-from .model import Model, freeze_backbone, load_model, replace_head, save_model, tiny_cnn
+from .model import Model, load_model, replace_head, save_model, tiny_cnn
 from .synth import Dataset, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
 from .train import TrainConfig, adv_train, evaluate, train
@@ -54,7 +54,6 @@ __all__ = [
     "delta_acc",
     "evaluate",
     "forward",
-    "freeze_backbone",
     "generate_dataset",
     "grad_input",
     "integrated_gradients",
@@ -64,7 +63,6 @@ __all__ = [
     "numeric_gradient",
     "occlusion",
     "occlusion_linearized",
-    "pgd",
     "point_coverage",
     "rank_models",
     "replace_head",

@@ -14,12 +14,10 @@ import numpy as np
 
 from .autodiff import backward_batch, forward_batch
 from .loss import cross_entropy_grad
-from .tensor import Tensor
 
 __all__ = [
     "AttackConfig",
     "RobustnessReport",
-    "pgd",
     "pgd_batch",
     "adv_accuracy",
     "delta_acc",
@@ -106,12 +104,6 @@ def pgd_batch(model, xb: np.ndarray, labels, cfg: AttackConfig) -> np.ndarray:
         adv = xb + np.clip(adv - xb, -cfg.epsilon, cfg.epsilon)
         adv = np.clip(adv, 0.0, 1.0)
     return adv
-
-
-def pgd(model, x: Tensor, y: int, cfg: AttackConfig) -> Tensor:
-    """Attack one image; see ``pgd_batch`` for the guarantees."""
-    out = pgd_batch(model, x.array[None], np.array([y]), cfg)
-    return Tensor(out[0])
 
 
 def adv_accuracy(model, ds, split: str, cfg: AttackConfig) -> float:

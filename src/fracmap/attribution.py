@@ -161,6 +161,7 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
     """
+    model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
     base = float(forward_values(model, x.array)[c])
     channels = range(x.shape[0]) if cfg.per_channel else [None]
@@ -220,12 +221,10 @@ def deeplift_contributions(model, x: Tensor, c: int, x_ref: Tensor) -> np.ndarra
     """
     if x_ref.shape != x.shape:
         raise ValueError(f"reference shape {x_ref.shape} does not match input {x.shape}")
-    n = model.num_classes
-    if not 0 <= c < n:
-        raise ValueError(f"class index {c} out of range for {n} classes")
+    model.check_class(c)
     _, tape_x = forward_batch(model, x.array[None])
     _, tape_ref = forward_batch(model, x_ref.array[None])
-    m = np.zeros((1, n))
+    m = np.zeros((1, model.num_classes))
     m[0, c] = 1.0
     for (layer, saved_x), (_, saved_ref) in zip(
         reversed(tape_x.records), reversed(tape_ref.records)
@@ -255,9 +254,7 @@ def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
     """
     if cfg.baseline.shape != x.shape:
         raise ValueError(f"baseline shape {cfg.baseline.shape} does not match input {x.shape}")
-    n_cls = model.num_classes
-    if not 0 <= c < n_cls:
-        raise ValueError(f"class index {c} out of range for {n_cls} classes")
+    model.check_class(c)
     diff = x.array - cfg.baseline.array
     alphas = (np.arange(cfg.n_steps) + 0.5) / cfg.n_steps
     grad_sum = np.zeros_like(diff)

@@ -149,10 +149,8 @@ def backward(tape: Tape, seed, grad_names=frozenset()) -> BackwardResult:
 
 def grad_input(model, x: Tensor, c: int) -> Tensor:
     """Gradient of the class-c logit with respect to every input value."""
-    n = model.num_classes
-    if not 0 <= c < n:
-        raise ValueError(f"class index {c} out of range for {n} classes")
-    seed = np.zeros(n, dtype=np.float64)
+    model.check_class(c)
+    seed = np.zeros(model.num_classes, dtype=np.float64)
     seed[c] = 1.0
     return grad_input_weighted(model, x, seed)
 
@@ -190,9 +188,7 @@ def numeric_gradient(model, x: Tensor, c: int, h: float = 1e-5) -> Tensor:
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
-    n = model.num_classes
-    if not 0 <= c < n:
-        raise ValueError(f"class index {c} out of range for {n} classes")
+    model.check_class(c)
     model.check_input_shape(x.shape)
     base = x.array.reshape(-1)
     size = base.size
@@ -225,7 +221,7 @@ def kink_margin(model, x: Tensor) -> float:
         if layer.kind == "relu":
             margin = min(margin, float(np.min(np.abs(cur))))
         elif layer.kind == "maxpool2":
-            win = layer._windows(cur)
+            win = np.stack(layer._views(cur), axis=-1)
             top2 = np.sort(win, axis=-1)[..., -2:]
             gaps = top2[..., 1] - top2[..., 0]
             live = top2[..., 1] != 0.0

@@ -5,8 +5,9 @@ rerunning with identical inputs reproduces byte-identical artifacts. Each
 artifact embeds the seed and a digest of the configuration that produced
 it (weight-file meta entries, ``#`` provenance lines in CSVs, heatmap
 sidecars, manifest header keys). A ``run-status`` file next to each
-command's outputs is written as ``running`` first and ``ok`` last, so an
-interrupted run leaves a visible flag instead of silently partial outputs.
+command's outputs is written as ``running`` first, then ``ok`` or ``failed:
+<error>``, so a failed run leaves a visible flag instead of silently partial
+outputs.
 
 Shared configuration comes from a JSON run manifest (``--manifest``); this
 example sets every key it accepts:
@@ -14,7 +15,7 @@ example sets every key it accepts:
     {
       "seed": 42,
       "dataset": "data/dataset.txt",
-      "train": {"epochs": 30, "learning_rate": 0.001, "batch_size": 32, "head_only": false},
+      "train": {"epochs": 30, "learning_rate": 0.001, "batch_size": 32},
       "attack": {"epsilon": 0.01568, "step_size": 0.00392, "iters": 10, "random_start": false},
       "train_attack": {"epsilon": 0.01568, "step_size": 0.00784, "iters": 5,
                        "random_start": false},
@@ -50,7 +51,7 @@ import numpy as np
 
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
-from .coverage import coverage_table, write_csv
+from .coverage import check_percentile, coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
 from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
@@ -73,6 +74,7 @@ _JSON_TYPES = {
     "number": (lambda v: type(v) in (int, float), float),
     "boolean": (lambda v: type(v) is bool, bool),
     "string": (lambda v: type(v) is str, str),
+    '"zero" | "mean"': (lambda v: v in ("zero", "mean"), str),
     "[integer, integer]": (
         lambda v: type(v) is list and len(v) == 2 and all(type(d) is int for d in v),
         tuple,
@@ -83,6 +85,7 @@ _JSON_TYPES = {
     ),
 }
 _PAIR = "[integer, integer]"
+_ZERO_OR_MEAN = '"zero" | "mean"'
 
 
 def _typed(path: Path, field: str, value, json_type: str):
@@ -92,11 +95,6 @@ def _typed(path: Path, field: str, value, json_type: str):
     return convert(value)
 
 
-def _check_zero_or_mean(key: str, value: str) -> None:
-    if value not in ("zero", "mean"):
-        raise ValueError(f"{key} must be 'zero' or 'mean', got {value!r}")
-
-
 @dataclass(frozen=True)
 class _IGSection(PathConfig):
     """``integrated_gradients``: ``PathConfig``'s fields, with ``baseline``
@@ -104,23 +102,20 @@ class _IGSection(PathConfig):
 
     baseline: str = "zero"
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_zero_or_mean("baseline", self.baseline)
-
 
 @dataclass(frozen=True)
 class _DeepLiftSection:
     reference: str = "zero"
-
-    def __post_init__(self):
-        _check_zero_or_mean("reference", self.reference)
 
 
 @dataclass(frozen=True)
 class _CoverageSection:
     percentiles: tuple = (15.0, 75.0, 85.0, 95.0)
     split: str = "test"  # also the split that ``attack`` scores
+
+    def __post_init__(self):
+        for nu in self.percentiles:
+            check_percentile(nu)
 
 
 _ATTACK_KEYS = {
@@ -136,12 +131,7 @@ _SECTIONS = {
     "train": (
         TrainConfig,
         {},
-        {
-            "epochs": "integer",
-            "learning_rate": "number",
-            "batch_size": "integer",
-            "head_only": "boolean",
-        },
+        {"epochs": "integer", "learning_rate": "number", "batch_size": "integer"},
     ),
     "attack": (AttackConfig, {}, _ATTACK_KEYS),
     "train_attack": (AttackConfig, {"step_size": 2 / 255, "iters": 5}, _ATTACK_KEYS),
@@ -150,8 +140,8 @@ _SECTIONS = {
         {},
         {"patch": _PAIR, "stride": _PAIR, "baseline_value": "number", "per_channel": "boolean"},
     ),
-    "integrated_gradients": (_IGSection, {}, {"n_steps": "integer", "baseline": "string"}),
-    "deeplift": (_DeepLiftSection, {}, {"reference": "string"}),
+    "integrated_gradients": (_IGSection, {}, {"n_steps": "integer", "baseline": _ZERO_OR_MEAN}),
+    "deeplift": (_DeepLiftSection, {}, {"reference": _ZERO_OR_MEAN}),
     "coverage": (_CoverageSection, {}, {"percentiles": "[number, ...]", "split": "string"}),
 }
 
@@ -229,7 +219,7 @@ def _require_dataset(rm: RunManifest):
 
 
 class _RunStatus:
-    """Written as 'running' up front and 'ok' on success; a crash leaves the flag."""
+    """Written as 'running' up front, then 'ok' or 'failed: <error>'; a kill leaves 'running'."""
 
     def __init__(self, path: Path, command: str, seed):
         self.path = Path(path)
@@ -241,8 +231,8 @@ class _RunStatus:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.path.write_text("ok\n" + self.tail, encoding="utf-8")
+        state = "ok" if exc_type is None else f"failed: {exc_type.__name__}: {exc}"
+        self.path.write_text(f"{state}\n{self.tail}", encoding="utf-8")
         return False
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "AnnotationSet",
     "CoverageRow",
     "CoverageReport",
+    "check_percentile",
     "nearest_rank_percentile",
     "threshold_mask",
     "point_coverage",
@@ -94,14 +95,15 @@ class AnnotationSet:
     def __contains__(self, image_id: str) -> bool:
         return image_id in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
+
+def check_percentile(nu: float) -> None:
+    if not 0.0 <= nu <= 100.0:
+        raise ValueError(f"percentile must lie in [0, 100], got {nu}")
 
 
 def nearest_rank_percentile(values, nu: float) -> float:
     """Smallest sample value with at least nu percent of samples <= it."""
-    if not 0.0 <= nu <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+    check_percentile(nu)
     flat = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     n = flat.size
     if float(nu).is_integer():
@@ -118,8 +120,7 @@ def threshold_mask(amap: AttributionMap, nu: float) -> BinaryMask:
     nu = 0 keeps every pixel. Maps flagged degenerate by ``normalize`` have
     lost their ordering and are rejected for nu > 0.
     """
-    if not 0.0 <= nu <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+    check_percentile(nu)
     if amap.degenerate and nu > 0:
         raise ValueError("cannot threshold a degenerate (constant) normalized map")
     thr = nearest_rank_percentile(amap.values, nu)
@@ -183,7 +184,6 @@ def coverage_table(
     ds,
     ann: AnnotationSet,
     split: str = "test",
-    target_class: int | None = None,
     occlusion_cfg: OcclusionConfig | None = None,
     path_cfg: PathConfig | None = None,
     reference: Tensor | None = None,
@@ -194,30 +194,29 @@ def coverage_table(
     is built by ``attribution.METHODS`` from ``occlusion_cfg``, ``path_cfg``
     (integrated gradients) and ``reference`` (DeepLIFT); these default to an
     8x8/stride-4 zero patch, 20 steps from a zero image, and a zero image.
-    Aggregation runs over the annotated images of ``split`` (unweighted mean
-    of per-image ratios, reported in percent). The row set is complete: a
-    cell whose maps cannot be computed (a map-level ``ValueError`` such as a
-    patch larger than the image) becomes ``N/A`` with the failure reason
-    rather than being skipped. A map whose values are all equal ranks no
-    pixel above another, so it makes the cell ``N/A:constant map for <image
-    id>`` instead of a mask that keeps every pixel. Errors that mean the
-    model, tensors or tape are misused propagate.
+    Every map explains the ``fractured`` class (class 0 if the dataset has
+    none). Aggregation runs over the annotated images of ``split``
+    (unweighted mean of per-image ratios, reported in percent). The row set
+    is complete: a cell whose maps cannot be computed (a map-level
+    ``ValueError`` such as a patch larger than the image) becomes ``N/A``
+    with the failure reason rather than being skipped. A map whose values
+    are all equal ranks no pixel above another, so it makes the cell
+    ``N/A:constant map for <image id>`` instead of a mask that keeps every
+    pixel. Errors that mean the model, tensors or tape are misused propagate.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
             raise ValueError(f"annotated image {image_id!r} is not in the dataset")
     for nu in percentiles:
-        if not 0.0 <= nu <= 100.0:
-            raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+        check_percentile(nu)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown attribution method {method!r}")
     annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ann]
     if not annotated:
         raise ValueError(f"split {split!r} has no annotated images")
-    if target_class is None:
-        names = tuple(ds.class_names)
-        target_class = names.index("fractured") if "fractured" in names else 0
+    names = tuple(ds.class_names)
+    target_class = names.index("fractured") if "fractured" in names else 0
     occ_cfg = occlusion_cfg or OcclusionConfig()
     zero = Tensor(np.zeros(ds.image_shape))
     path_cfg = path_cfg or PathConfig(baseline=zero)

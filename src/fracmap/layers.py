@@ -322,24 +322,10 @@ class MaxPool2(_Layer):
         return (in_shape[0], in_shape[1] // 2, in_shape[2] // 2)
 
     @staticmethod
-    def _windows(x):
-        n, c, h, w = x.shape
-        # Last axis enumerates window cells in row-major order, so argmax's
-        # first-maximum rule matches the documented tie-breaking.
-        return x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h // 2, w // 2, 4
-        )
-
-    @staticmethod
-    def _unwindow(win, shape):
-        n, c, h, w = shape
-        return win.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h, w
-        )
-
-    @staticmethod
     def _views(x):
-        # The four window cells as strided views, in row-major window order.
+        # The four window cells as strided views, in row-major window order;
+        # stacked along a last axis, argmax's first-maximum rule matches the
+        # documented tie-breaking.
         return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, params, x):
@@ -369,8 +355,8 @@ class MaxPool2(_Layer):
         # When the argmax cell's own delta is negligible, spread the output
         # delta across the window proportionally to the squared cell deltas
         # instead; identical windows contribute exactly zero either way.
-        win_x = self._windows(saved_x["x"])
-        win_ref = self._windows(saved_ref["x"])
+        win_x = np.stack(self._views(saved_x["x"]), axis=-1)
+        win_ref = np.stack(self._views(saved_ref["x"]), axis=-1)
         idx = np.argmax(win_x, axis=-1)[..., None]
         dwin = win_x - win_ref
         dy = np.take_along_axis(win_x, idx, axis=-1) - np.max(win_ref, axis=-1, keepdims=True)
@@ -384,7 +370,10 @@ class MaxPool2(_Layer):
         prop = dy * dwin / np.where(sq == 0.0, 1.0, sq)
         use_wta = np.abs(d_amax) >= RESCALE_FALLBACK
         mwin = m_out[..., None] * np.where(use_wta, wta, prop)
-        return self._unwindow(mwin, saved_x["x"].shape)
+        m_in = np.empty(saved_x["x"].shape, dtype=np.float64)
+        for k, v in enumerate(self._views(m_in)):
+            v[...] = mwin[..., k]
+        return m_in
 
 
 @dataclass(frozen=True)

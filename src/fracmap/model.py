@@ -45,7 +45,6 @@ __all__ = [
     "WeightFormatError",
     "tiny_cnn",
     "replace_head",
-    "freeze_backbone",
     "save_model",
     "load_model",
 ]
@@ -72,7 +71,7 @@ class Model:
 
     ``params`` maps ``<layer>.<param>`` to read-only float64 arrays and
     ``trainable`` carries one flag per parameter name. Operations that
-    "modify" a model (head replacement, freezing, training) return new
+    "modify" a model (head replacement, training) return new
     instances; instances are safe to share across threads.
     """
 
@@ -164,14 +163,12 @@ class Model:
                 f"expectation {self.input_shape}"
             )
 
-    def with_params(self, params, trainable=None) -> "Model":
-        return Model(
-            self.layers,
-            params,
-            self.trainable if trainable is None else trainable,
-            self.input_shape,
-            self.class_names,
-        )
+    def check_class(self, c: int) -> None:
+        if not 0 <= c < self.num_classes:
+            raise ValueError(f"class index {c} out of range for {self.num_classes} classes")
+
+    def with_params(self, params) -> "Model":
+        return Model(self.layers, params, self.trainable, self.input_shape, self.class_names)
 
     def __repr__(self) -> str:
         kinds = "/".join(layer.kind for layer in self.layers)
@@ -245,13 +242,6 @@ def replace_head(model: Model, k: int, seed: int, class_names=None) -> Model:
     trainable = dict(model.trainable)
     layers = model.layers[:-1] + (head,)
     return Model(layers, params, trainable, model.input_shape, class_names)
-
-
-def freeze_backbone(model: Model) -> Model:
-    """Return a copy where only the head weight and bias are trainable."""
-    head_params = set(model.head.param_names())
-    trainable = {name: name in head_params for name in model.params}
-    return model.with_params(model.params, trainable)
 
 
 def _layer_line(layer) -> str:

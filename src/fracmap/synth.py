@@ -122,6 +122,9 @@ class Dataset:
                             f"annotation ({x}, {y}) for {image_id!r} outside the {w}x{h} image"
                         )
         self._index = {image_id: i for i, image_id in enumerate(self.ids)}
+        if len(self._index) < n:
+            dup = next(image_id for i, image_id in enumerate(self.ids) if self._index[image_id] != i)
+            raise ValueError(f"image id {dup!r} appears more than once")
 
     def split_indices(self, split: str) -> list:
         return [i for i, s in enumerate(self.split) if s == split]

@@ -42,7 +42,6 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 1e-3
     batch_size: int = 32
-    head_only: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -92,13 +91,6 @@ def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
     if not ds.split_indices("train"):
         raise ValueError("train split is empty")
     trainable = [n for n, flag in model.trainable.items() if flag]
-    if cfg.head_only:
-        head_names = set(model.head.param_names())
-        if set(trainable) != head_names:
-            raise ValueError(
-                "head_only training expects a frozen backbone "
-                f"(trainable: {sorted(trainable)})"
-            )
     if not trainable:
         raise ValueError("no trainable parameters")
 

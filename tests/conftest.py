@@ -22,6 +22,12 @@ def linear_model(weights, input_shape, class_names=("fractured", "healthy")) -> 
     return Model(layers, params, {}, input_shape, class_names)
 
 
+def frozen_backbone(m: Model) -> Model:
+    """A copy of ``m`` whose only trainable parameters are the head's."""
+    flags = {name: name in m.head.param_names() for name in m.params}
+    return Model(m.layers, m.params, flags, m.input_shape, m.class_names)
+
+
 def random_cnn(
     seed: int,
     input_shape=(1, 8, 8),

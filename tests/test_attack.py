@@ -8,7 +8,7 @@ from fracmap.attack import (
     RobustnessReport,
     adv_accuracy,
     delta_acc,
-    pgd,
+    pgd_batch,
     rank_models,
 )
 from fracmap.loss import softmax
@@ -22,13 +22,14 @@ EPS = 4 / 255
 class TestPgd:
     def test_zero_epsilon_returns_input_bit_identically(self, quick_model):
         x = rand_image(1, quick_model.input_shape)
-        out = pgd(quick_model, x, 0, AttackConfig(epsilon=0.0))
-        assert np.array_equal(out.array, x.array)
+        out = pgd_batch(quick_model, x.array[None], [0], AttackConfig(epsilon=0.0))[0]
+        assert np.array_equal(out, x.array)
 
     def test_zero_iters_returns_input_bit_identically(self, quick_model):
         x = rand_image(2, quick_model.input_shape)
-        out = pgd(quick_model, x, 1, AttackConfig(iters=0, random_start=False))
-        assert np.array_equal(out.array, x.array)
+        cfg = AttackConfig(iters=0, random_start=False)
+        out = pgd_batch(quick_model, x.array[None], [1], cfg)[0]
+        assert np.array_equal(out, x.array)
 
     def test_single_step_on_linear_model_follows_sign_gradient(self):
         rng = np.random.default_rng(3)
@@ -39,44 +40,42 @@ class TestPgd:
         # For label 0 the fractured logit must shrink: ascend -w (and
         # symmetrically +w for label 1), then clip to the pixel box.
         for label, direction in ((0, -w), (1, w)):
-            out = pgd(m, x, label, cfg)
+            out = pgd_batch(m, x.array[None], [label], cfg)[0]
             expect = np.clip(x.array + cfg.step_size * np.sign(direction.reshape(1, 3, 4)), 0, 1)
-            assert np.allclose(out.array, expect, rtol=0, atol=1e-15)
+            assert np.allclose(out, expect, rtol=0, atol=1e-15)
 
     def test_ball_and_box_containment(self, quick_model, quick_dataset):
         cfg = AttackConfig(epsilon=EPS, step_size=1 / 255, iters=10)
         for i in quick_dataset.split_indices("test")[:8]:
             x = quick_dataset.images[i]
-            out = pgd(quick_model, x, quick_dataset.labels[i], cfg)
-            assert np.max(np.abs(out.array - x.array)) <= EPS + 1e-12
-            assert out.array.min() >= 0.0 and out.array.max() <= 1.0
+            out = pgd_batch(quick_model, x.array[None], [quick_dataset.labels[i]], cfg)[0]
+            assert np.max(np.abs(out - x.array)) <= EPS + 1e-12
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_deterministic_without_random_start(self, quick_model):
         x = rand_image(5, quick_model.input_shape)
         cfg = AttackConfig(iters=4)
-        a = pgd(quick_model, x, 0, cfg)
-        b = pgd(quick_model, x, 0, cfg)
-        assert np.array_equal(a.array, b.array)
+        a = pgd_batch(quick_model, x.array[None], [0], cfg)[0]
+        b = pgd_batch(quick_model, x.array[None], [0], cfg)[0]
+        assert np.array_equal(a, b)
 
     def test_random_start_is_seeded_and_contained(self, quick_model):
         x = rand_image(6, quick_model.input_shape)
         cfg = AttackConfig(iters=2, random_start=True, seed=9)
-        a = pgd(quick_model, x, 0, cfg)
-        b = pgd(quick_model, x, 0, cfg)
-        assert np.array_equal(a.array, b.array)
-        assert np.max(np.abs(a.array - x.array)) <= EPS + 1e-12
+        a = pgd_batch(quick_model, x.array[None], [0], cfg)[0]
+        b = pgd_batch(quick_model, x.array[None], [0], cfg)[0]
+        assert np.array_equal(a, b)
+        assert np.max(np.abs(a - x.array)) <= EPS + 1e-12
 
     def test_invalid_label_rejected(self, quick_model):
         x = rand_image(7, quick_model.input_shape)
         with pytest.raises(ValueError, match="label"):
-            pgd(quick_model, x, 2, AttackConfig())
+            pgd_batch(quick_model, x.array[None], [2], AttackConfig())
 
     def test_out_of_range_pixels_rejected(self, quick_model):
         bad = rand_image(8, quick_model.input_shape).array + 1.5
-        from fracmap.tensor import Tensor
-
         with pytest.raises(ValueError, match="0, 1"):
-            pgd(quick_model, Tensor(bad), 0, AttackConfig())
+            pgd_batch(quick_model, bad[None], [0], AttackConfig())
 
     def test_attack_increases_loss_on_attacked_class(self, quick_model, quick_dataset):
         i = quick_dataset.split_indices("train")[0]
@@ -84,8 +83,8 @@ class TestPgd:
         from fracmap.autodiff import forward_values
 
         p_before = softmax(forward_values(quick_model, x.array)[None])[0, y]
-        adv = pgd(quick_model, x, y, AttackConfig(epsilon=EPS, iters=10))
-        p_after = softmax(forward_values(quick_model, adv.array)[None])[0, y]
+        adv = pgd_batch(quick_model, x.array[None], [y], AttackConfig(epsilon=EPS, iters=10))[0]
+        p_after = softmax(forward_values(quick_model, adv)[None])[0, y]
         assert p_after < p_before
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.attribution import (
+    METHODS,
     AttributionMap,
     OcclusionConfig,
     PathConfig,
@@ -30,6 +31,15 @@ from conftest import linear_model, rand_image, random_cnn
 
 def zeros_like_input(model):
     return Tensor(np.zeros(model.input_shape))
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("c", [-1, 2])
+def test_every_method_rejects_a_class_index_out_of_range(method, c):
+    m = random_cnn(seed=3)
+    zero = zeros_like_input(m)
+    with pytest.raises(ValueError, match="class index"):
+        METHODS[method](m, rand_image(1, m.input_shape), c, OcclusionConfig(), PathConfig(zero), zero)
 
 
 class TestSaliency:

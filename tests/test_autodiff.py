@@ -19,10 +19,10 @@ from fracmap.autodiff import (
     numeric_gradient,
 )
 from fracmap.layers import Conv2d, Dense, Flatten, ReLU
-from fracmap.model import Model, ModelError, freeze_backbone, tiny_cnn
+from fracmap.model import Model, ModelError, tiny_cnn
 from fracmap.tensor import Tensor
 
-from conftest import linear_model, rand_image, random_cnn
+from conftest import frozen_backbone, linear_model, rand_image, random_cnn
 
 
 def passthrough_tail(n, prefix_layers, input_shape, params=None):
@@ -94,7 +94,7 @@ class TestParamOnlyPass:
         [
             tiny_cnn(3, input_shape=(1, 32, 32)),
             random_cnn(seed=4, input_shape=(3, 10, 10), channels=(2, 3), padding="valid"),
-            freeze_backbone(tiny_cnn(5, input_shape=(1, 32, 32))),
+            frozen_backbone(tiny_cnn(5, input_shape=(1, 32, 32))),
         ],
         ids=["tiny_cnn", "random_cnn", "head_only"],
     )
@@ -114,7 +114,7 @@ class TestParamOnlyPass:
     def test_pass_stops_at_lowest_layer_with_a_requested_parameter(self, head_only, lowest):
         model = tiny_cnn(5, input_shape=(1, 32, 32))
         if head_only:
-            model = freeze_backbone(model)
+            model = frozen_backbone(model)
         _, tape = forward_batch(model, np.zeros((2,) + model.input_shape))
         calls = []
         tape.records = [(_Recorder(layer, calls), saved) for layer, saved in tape.records]

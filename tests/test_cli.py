@@ -137,14 +137,25 @@ class TestManifestKeys:
     @pytest.mark.parametrize(
         "payload, field",
         [
-            ({"train": {"head_only": "false"}}, "train.head_only"),
+            ({"attack": {"random_start": "false"}}, "attack.random_start"),
             ({"coverage": {"percentiles": "85"}}, "coverage.percentiles"),
             ({"train": {"epochs": 2.7}}, "train.epochs"),
             ({"train": {"epoch": 2}}, "train.epoch"),
             ([{"train": {"epochs": 2}}], "manifest"),
             ({"occlusion": {"stride": [4, 0]}}, "occlusion.stride"),
+            ({"coverage": {"percentiles": [150]}}, "coverage.percentiles"),
+            ({"deeplift": {"reference": "max"}}, "deeplift.reference"),
         ],
-        ids=["string-bool", "string-list", "float-int", "unknown-key", "top-level-list", "range"],
+        ids=[
+            "string-bool",
+            "string-list",
+            "float-int",
+            "unknown-key",
+            "top-level-list",
+            "range",
+            "percentile-range",
+            "zero-or-mean",
+        ],
     )
     def test_defect_names_manifest_and_field(self, tmp_path, payload, field):
         path = tmp_path / "rm.json"
@@ -169,7 +180,7 @@ class TestManifestKeys:
 
     def test_every_key_reaches_its_config(self, tmp_path):
         manifest = {
-            "train": {"epochs": 3, "learning_rate": 0.5, "batch_size": 5, "head_only": True},
+            "train": {"epochs": 3, "learning_rate": 0.5, "batch_size": 5},
             "attack": {"epsilon": 0.25, "step_size": 0.125, "iters": 4, "random_start": True},
             "train_attack": {"epsilon": 0.5, "step_size": 1, "iters": 3, "random_start": True},
             "occlusion": {"patch": [6, 4], "stride": [3, 2], "baseline_value": 0.25, "per_channel": True},
@@ -179,7 +190,7 @@ class TestManifestKeys:
         }
         (tmp_path / "rm.json").write_text(json.dumps(manifest))
         rm = load_run_manifest(tmp_path / "rm.json", seed_override=9)
-        assert rm.train == TrainConfig(epochs=3, learning_rate=0.5, batch_size=5, head_only=True, seed=9)
+        assert rm.train == TrainConfig(epochs=3, learning_rate=0.5, batch_size=5, seed=9)
         assert rm.attack == AttackConfig(0.25, 0.125, 4, random_start=True, seed=9)
         assert rm.train_attack == AttackConfig(0.5, 1.0, 3, random_start=True, seed=9)
         assert rm.occlusion == OcclusionConfig(6, 4, 3, 2, baseline_value=0.25, per_channel=True)
@@ -408,11 +419,23 @@ class TestCoverage:
 
 
 class TestRunStatus:
-    def test_failed_run_leaves_running_flag(self, workspace, tmp_path, capsys):
+    def test_failed_run_records_failure(self, workspace, tmp_path, capsys):
         out = tmp_path / "m.mwf"
         manifest = {"seed": 1, "dataset": str(workspace / "data" / "dataset.txt"), "train": {"epochs": 2, "learning_rate": 1e80}}
         (tmp_path / "rm.json").write_text(json.dumps(manifest))
         with np.errstate(all="ignore"):
             rc = main(["train", "--manifest", str(tmp_path / "rm.json"), "--mode", "standard", "--out", str(out)])
         assert rc != 0
-        assert (tmp_path / "m.mwf.status").read_text().startswith("running")
+        state, *tail = (tmp_path / "m.mwf.status").read_text().splitlines()
+        assert state.startswith("failed: DivergenceError: ") and "non-finite" in state
+        assert tail == ["command=train-standard", "seed=1"]
+
+    def test_failed_attribute_records_failure(self, workspace, trained, tmp_path, capsys):
+        std, _ = trained
+        out = tmp_path / "maps"
+        argv = ["attribute", "--manifest", str(workspace / "rm.json"), "--model", str(std)]
+        argv += ["--methods", "saliency", "--images", "img_9999", "--out", str(out)]
+        assert main(argv) == 1
+        assert (out / "run-status.txt").read_text() == (
+            f"failed: ValueError: images not in the dataset: img_9999\ncommand=attribute\nseed={SEED}\n"
+        )

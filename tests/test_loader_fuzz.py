@@ -70,7 +70,7 @@ def workdir(tmp_path_factory):
     every_key = {
         "seed": 3,
         "dataset": "empty.txt",
-        "train": {"epochs": 3, "learning_rate": 0.002, "batch_size": 5, "head_only": False},
+        "train": {"epochs": 3, "learning_rate": 0.002, "batch_size": 5},
         "attack": {"epsilon": 0.02, "step_size": 0.006, "iters": 4, "random_start": True},
         "train_attack": {"epsilon": 0.01, "step_size": 0.004, "iters": 3, "random_start": False},
         "occlusion": {"patch": [6, 4], "stride": [3, 2], "baseline_value": 0.25, "per_channel": True},
@@ -95,7 +95,7 @@ _json_values = st.recursive(
         ["seed", "dataset", "train", "attack", "train_attack", "occlusion",
          "integrated_gradients", "deeplift", "coverage"]
     ),
-    key=st.none() | st.sampled_from(["epochs", "head_only", "patch", "baseline", "percentiles", "n_steps"])
+    key=st.none() | st.sampled_from(["epochs", "random_start", "patch", "baseline", "percentiles", "n_steps"])
     | st.text(max_size=6),
     value=_json_values,
     edits=st.none() | _edits,

@@ -10,7 +10,6 @@ from fracmap.model import (
     Model,
     ModelError,
     WeightFormatError,
-    freeze_backbone,
     load_model,
     replace_head,
     save_model,
@@ -19,7 +18,7 @@ from fracmap.model import (
 from fracmap.synth import generate_dataset
 from fracmap.train import TrainConfig, train
 
-from conftest import SMALL_CFG, random_cnn
+from conftest import SMALL_CFG, frozen_backbone, random_cnn
 
 
 class TestModelConstruction:
@@ -250,19 +249,10 @@ class TestReplaceHead:
 
 
 class TestFreezeBackbone:
-    def test_only_head_remains_trainable(self):
-        m = freeze_backbone(random_cnn(seed=9))
-        trainable = {n for n, flag in m.trainable.items() if flag}
-        assert trainable == {"head.weight", "head.bias"}
-
-    def test_idempotent(self):
-        m = freeze_backbone(random_cnn(seed=9))
-        assert freeze_backbone(m).trainable == m.trainable
-
     def test_frozen_parameters_survive_training_bit_identically(self):
         ds = generate_dataset(seed=21, n=20, cfg=SMALL_CFG)
-        m = freeze_backbone(tiny_cnn(seed=21, input_shape=(1, 32, 32)))
-        trained = train(m, ds, TrainConfig(epochs=2, head_only=True, seed=1)).model
+        m = frozen_backbone(tiny_cnn(seed=21, input_shape=(1, 32, 32)))
+        trained = train(m, ds, TrainConfig(epochs=2, seed=1)).model
         for name, flag in m.trainable.items():
             if not flag:
                 assert np.array_equal(trained.params[name], m.params[name])

@@ -134,6 +134,14 @@ class TestDiskFormat:
         assert str(manifest) in message and "'img_0000'" in message
         assert "(1, 32, 32)" in message and "(1, 64, 64)" in message
 
+    def test_duplicate_image_id_names_manifest_and_id(self, tmp_path):
+        manifest, _ = save_dataset(generate_dataset(seed=8, n=4, cfg=SMALL_CFG), tmp_path)
+        manifest.write_text(manifest.read_text().replace("id=img_0003", "id=img_0001"))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert str(manifest) in message and "'img_0001' appears more than once" in message
+
     @pytest.mark.parametrize(
         "file, text, named",
         [

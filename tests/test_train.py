@@ -6,12 +6,12 @@ import pytest
 from fracmap.attack import AttackConfig
 from fracmap.autodiff import forward
 from fracmap.coverage import AnnotationSet
-from fracmap.model import freeze_backbone, tiny_cnn
+from fracmap.model import tiny_cnn
 from fracmap.synth import FRACTURED, HEALTHY, Dataset, generate_dataset
 from fracmap.tensor import Tensor
 from fracmap.train import DivergenceError, TrainConfig, adv_train, evaluate, train
 
-from conftest import SMALL_CFG, linear_model
+from conftest import SMALL_CFG, frozen_backbone, linear_model
 
 
 def brightness_dataset(n_per_class=4, side=4):
@@ -86,11 +86,6 @@ class TestTrain:
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
-    def test_head_only_requires_frozen_backbone(self, small_dataset):
-        m = tiny_cnn(seed=3, input_shape=(1, 32, 32))
-        with pytest.raises(ValueError, match="frozen backbone"):
-            train(m, small_dataset, TrainConfig(epochs=1, head_only=True))
-
     def test_empty_train_split_rejected(self):
         ds = brightness_dataset()  # no images tagged "val"/"train" mix: train exists
         ds.split[:] = ["test"] * len(ds.split)
@@ -130,12 +125,12 @@ class TestAdvTrain:
         assert np.all(np.isfinite(res.loss_trace))
 
     def test_frozen_backbone_untouched_by_adversarial_training(self, small_dataset):
-        m = freeze_backbone(tiny_cnn(seed=9, input_shape=(1, 32, 32)))
+        m = frozen_backbone(tiny_cnn(seed=9, input_shape=(1, 32, 32)))
         res = adv_train(
             m,
             small_dataset,
             AttackConfig(epsilon=2 / 255, iters=2),
-            TrainConfig(epochs=1, head_only=True, seed=9),
+            TrainConfig(epochs=1, seed=9),
         )
         for name, flag in m.trainable.items():
             if not flag:

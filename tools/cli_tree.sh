@@ -52,7 +52,7 @@ cat >"$out/all.json" <<JSON
 {
   "seed": 7,
   "dataset": "data/dataset.txt",
-  "train": {"epochs": 3, "learning_rate": 0.002, "batch_size": 5, "head_only": false},
+  "train": {"epochs": 3, "learning_rate": 0.002, "batch_size": 5},
   "attack": {"epsilon": 0.0196, "step_size": 0.0059, "iters": 4, "random_start": true},
   "train_attack": {"epsilon": 0.0118, "step_size": 0.0039, "iters": 3, "random_start": false},
   "occlusion": {"patch": [6, 4], "stride": [3, 2], "baseline_value": 0.25, "per_channel": true},
