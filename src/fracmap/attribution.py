@@ -14,6 +14,12 @@ Signed quantities back two exactness properties that tests lean on:
 * ``deeplift_contributions`` sum exactly to f_c(x) - f_c(x_ref),
 * ``ig_attributions`` converge to F(x) - F(x_baseline) as steps grow
   (midpoint rule), and are exact for linear models at any step count.
+
+``occlusion`` evaluates its variants with ``forward_values(..., base=x)``:
+a patch changes only a band of rows, so the clean image's activations are
+reused outside the rows the band reaches. The scores are byte-identical to
+plain forward passes over every variant (the exactness rule is in
+``autodiff``).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import backward_batch, forward_batch, forward_values, grad_input
 from .pgm import to_bytes_gray, write_pgm
 from .tensor import Tensor
@@ -160,6 +167,8 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
 
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
+    Variants are evaluated MAP_BATCH at a time against ``x`` as the base, so
+    only the rows a patch reaches are recomputed.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
@@ -176,7 +185,8 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     drops = np.empty(len(variants))
     for start in range(0, len(variants), MAP_BATCH):
         chunk = np.stack(variants[start : start + MAP_BATCH])
-        drops[start : start + len(chunk)] = base - forward_values(model, chunk)[:, c]
+        f = forward_values(model, chunk, base=x.array)[:, c]
+        drops[start : start + len(chunk)] = base - f
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(
@@ -320,7 +330,7 @@ def write_heatmap(amap: AttributionMap, pgm_path, sidecar_path, extra=None) -> N
     ]
     for key in sorted(extra or {}):
         lines.append(f"{key}={extra[key]}")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with atomic_open(sidecar_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

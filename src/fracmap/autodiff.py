@@ -9,6 +9,19 @@ Layers compute over a leading batch axis; the batched entry points
 (``forward_batch`` / ``backward_batch``) expose that directly for training
 and attack loops, while the single-image API wraps a batch of one.
 
+``forward_values(model, xb, base=b)`` evaluates images that differ from one
+image ``b`` in a few rows, as occlusion variants do. Over the model's
+row-local prefix (``Standardize``, ``ReLU``, ``MaxPool2`` and stride-1
+``Conv2d``) it recomputes only the rows that the differences reach, from a
+crop of ``b``'s activations with the changed rows spliced in; every other
+row is ``b``'s, computed once per call. The rest of the model runs over the
+whole batch, as in a plain call. The result is byte-identical to
+``forward_values(model, xb)``: each prefix layer computes an output row
+from its input rows alone, elementwise or, for a ``Conv2d``, in a GEMM
+column whose BLAS tile does not move. That last part holds for one input
+channel (a broadcast product) or an output width that is a multiple of
+``GEMM_TILE``; the prefix ends before any other ``Conv2d``.
+
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
 """
@@ -19,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import GEMM_TILE
+from .model import ModelError
 from .tensor import Tensor
 
 __all__ = [
@@ -61,10 +76,11 @@ class BackwardResult:
     param_grads: dict
 
 
-def _run_forward(model, xb, record: bool):
+def _run_forward(model, xb, record: bool, start: int = 0):
+    """Run ``model.layers[start:]`` on ``xb``; with ``record``, keep the tape records."""
     records = [] if record else None
     cur = xb
-    for layer in model.layers:
+    for layer in model.layers[start:]:
         out, saved = layer.forward(model.params, cur)
         if record:
             records.append((layer, saved))
@@ -92,14 +108,93 @@ def forward(model, x: Tensor):
     return Tensor(logits[0]), tape
 
 
-def forward_values(model, x_array: np.ndarray) -> np.ndarray:
-    """Tape-free forward pass over a raw array; accepts one image or a batch."""
+def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
+    """Tape-free forward pass over a raw array; accepts one image or a batch.
+
+    With ``base``, one image of the model's input shape, each image is
+    evaluated as ``base`` with the rows where it differs spliced in, reusing
+    ``base``'s activations outside them (see the module docstring); the
+    result has the same bytes as without ``base``.
+    """
     x_array = np.asarray(x_array, dtype=np.float64)
     single = x_array.ndim == 3
     xb = x_array[None] if single else x_array
     model.check_input_shape(xb.shape[1:])
-    out, _ = _run_forward(model, xb, record=False)
+    if base is None:
+        out, _ = _run_forward(model, xb, record=False)
+    else:
+        base = np.asarray(base, dtype=np.float64)
+        if base.shape != model.input_shape:
+            raise ModelError(
+                f"base shape {base.shape} does not match the model input {model.input_shape}"
+            )
+        out = _forward_from_base(model, xb, base)
     return out[0] if single else out
+
+
+def _row_local_prefix(model) -> int:
+    """How many leading layers compute each output row exactly from a crop of input rows."""
+    shape = model.input_shape
+    for k, layer in enumerate(model.layers):
+        if layer.kind not in ("standardize", "relu", "maxpool2", "conv2d"):
+            return k
+        out_shape = layer.out_shape(shape)
+        # A band's columns land on the tiles of a full pass only if rows span whole tiles.
+        if layer.kind == "conv2d" and layer.in_channels > 1 and out_shape[2] % GEMM_TILE:
+            return k
+        shape = out_shape
+    return len(model.layers)
+
+
+def _band_rows(layer, a: int, b: int, h: int):
+    """For input rows [a, b) of an h-row input: the output rows [oa, ob) they
+    reach, the input rows [lo, hi) those need, and the rows of a forward over
+    that crop that are output rows [oa, ob)."""
+    if layer.kind == "conv2d":
+        ph, _ = layer._pads()
+        kh = layer.kernel_h
+        oa, ob = max(0, a + ph - kh + 1), min(h + 2 * ph - kh + 1, b + ph)
+        lo, hi = max(0, oa - ph), min(h, ob - ph + kh - 1)
+        first = lo  # a crop's output row k is output row lo + k
+    elif layer.kind == "maxpool2":
+        oa, ob = a // 2, (b + 1) // 2
+        lo, hi = 2 * oa, 2 * ob
+        first = oa
+    else:
+        oa, ob, lo, hi, first = a, b, a, b, a
+    return oa, ob, lo, hi, slice(oa - first, ob - first)
+
+
+def _forward_from_base(model, xb, base):
+    """``forward_values`` with ``base``: images with the same changed-row range
+    go through the row-local prefix together, as bands; then the bands are
+    spliced into copies of ``base``'s activations and the rest of the model
+    runs over the whole batch at once."""
+    n_prefix = _row_local_prefix(model)
+    acts = [base[None]]  # base's activation at the input of each prefix layer, then after
+    for layer in model.layers[:n_prefix]:
+        acts.append(layer.forward(model.params, acts[-1])[0])
+    # Compare bytes, so that -0.0 against +0.0 counts as a change.
+    changed = np.any(xb.view(np.uint64) != base.view(np.uint64), axis=(1, 3))
+    groups = {}
+    for i, rows in enumerate(changed):
+        hit = np.flatnonzero(rows)
+        if hit.size:
+            groups.setdefault((int(hit[0]), int(hit[-1]) + 1), []).append(i)
+    cur = np.repeat(acts[-1], len(xb), axis=0)
+    for (a, b), idx in groups.items():
+        band = xb[idx, :, a:b]
+        for layer, act in zip(model.layers[:n_prefix], acts):
+            oa, ob, lo, hi, keep = _band_rows(layer, a, b, act.shape[2])
+            if (lo, hi) != (a, b):
+                crop = np.repeat(act[:, :, lo:hi], len(idx), axis=0)
+                crop[:, :, a - lo : b - lo] = band
+                band = crop
+            band = layer.forward(model.params, band)[0][:, :, keep]
+            a, b = oa, ob
+        cur[idx, :, a:b] = band
+    out, _ = _run_forward(model, cur, record=False, start=n_prefix)
+    return out
 
 
 def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):

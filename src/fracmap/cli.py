@@ -7,7 +7,10 @@ it (weight-file meta entries, ``#`` provenance lines in CSVs, heatmap
 sidecars, manifest header keys). A ``run-status`` file next to each
 command's outputs is written as ``running`` first, then ``ok`` or ``failed:
 <error>``, so a failed run leaves a visible flag instead of silently partial
-outputs.
+outputs. The status is written before the command loads its manifest,
+dataset or model, so a failure there is recorded too. Every artifact is
+written to a temporary file that replaces it only once complete
+(``atomic_open``), so a failure never leaves one half-written.
 
 Shared configuration comes from a JSON run manifest (``--manifest``); this
 example sets every key it accepts:
@@ -50,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
+from .atomic import atomic_open
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
 from .coverage import check_percentile, coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
@@ -212,27 +216,38 @@ def load_run_manifest(path, seed_override=None) -> RunManifest:
     return RunManifest(path=path, seed=seed, dataset=dataset, **sections)
 
 
-def _require_dataset(rm: RunManifest):
-    if rm.dataset is None:
-        _fail(rm.path, "dataset", "required by this command but missing")
-    return load_dataset(rm.dataset)
-
-
 class _RunStatus:
-    """Written as 'running' up front, then 'ok' or 'failed: <error>'; a kill leaves 'running'."""
+    """Written as 'running' up front, then 'ok' or 'failed: <error>'; a kill leaves 'running'.
+
+    The status names the run's seed: the ``--seed`` override given here, then
+    the manifest's once ``load_inputs`` has read it (``unknown`` before that).
+    """
 
     def __init__(self, path: Path, command: str, seed):
         self.path = Path(path)
-        self.tail = f"command={command}\nseed={seed}\n"
+        self.command = command
+        self.seed = seed
+
+    def load_inputs(self, args):
+        """The run manifest and the dataset it names, which every command but synth reads."""
+        rm = load_run_manifest(args.manifest, seed_override=args.seed)
+        self.seed = rm.seed
+        if rm.dataset is None:
+            _fail(rm.path, "dataset", "required by this command but missing")
+        return rm, load_dataset(rm.dataset)
+
+    def _write(self, state: str) -> None:
+        seed = "unknown" if self.seed is None else self.seed
+        with atomic_open(self.path) as fh:
+            fh.write(f"{state}\ncommand={self.command}\nseed={seed}\n")
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("running\n" + self.tail, encoding="utf-8")
+        self._write("running")
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        state = "ok" if exc_type is None else f"failed: {exc_type.__name__}: {exc}"
-        self.path.write_text(f"{state}\n{self.tail}", encoding="utf-8")
+        self._write("ok" if exc_type is None else f"failed: {exc_type.__name__}: {exc}")
         return False
 
 
@@ -261,12 +276,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rm = load_run_manifest(args.manifest, seed_override=args.seed)
-    ds = _require_dataset(rm)
     out_model = Path(args.out)
     metrics_path = out_model.with_name(out_model.name + ".metrics.json")
-
-    with _RunStatus(out_model.with_name(out_model.name + ".status"), f"train-{args.mode}", rm.seed):
+    status_path = out_model.with_name(out_model.name + ".status")
+    with _RunStatus(status_path, f"train-{args.mode}", args.seed) as status:
+        rm, ds = status.load_inputs(args)
         if args.init:
             model, _ = load_model(args.init)
         else:
@@ -292,17 +306,17 @@ def cmd_train(args) -> int:
                 if ds.split_indices(split)
             },
         }
-        metrics_path.write_text(json.dumps(metrics, indent=1, sort_keys=True) + "\n", "utf-8")
+        with atomic_open(metrics_path) as fh:
+            fh.write(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_model} and {metrics_path}")
     return 0
 
 
 def cmd_attack(args) -> int:
-    rm = load_run_manifest(args.manifest, seed_override=args.seed)
-    ds = _require_dataset(rm)
-    split, atk = rm.coverage.split, rm.attack
     out_path = Path(args.out)
-    with _RunStatus(out_path.with_name(out_path.name + ".status"), "attack", rm.seed):
+    with _RunStatus(out_path.with_name(out_path.name + ".status"), "attack", args.seed) as status:
+        rm, ds = status.load_inputs(args)
+        split, atk = rm.coverage.split, rm.attack
         reports = []
         for model_path in args.models:
             model, _ = load_model(model_path)
@@ -347,14 +361,12 @@ def _parse_methods(raw) -> list:
 
 
 def cmd_attribute(args) -> int:
-    rm = load_run_manifest(args.manifest, seed_override=args.seed)
-    ds = _require_dataset(rm)
-    methods = _parse_methods(args.methods)
-    model, _ = load_model(args.model)
     target = args.target_class if args.target_class is not None else FRACTURED
     out_dir = Path(args.out)
-
-    with _RunStatus(out_dir / "run-status.txt", "attribute", rm.seed):
+    with _RunStatus(out_dir / "run-status.txt", "attribute", args.seed) as status:
+        rm, ds = status.load_inputs(args)
+        methods = _parse_methods(args.methods)
+        model, _ = load_model(args.model)
         missing = [i for i in args.images if i not in ds.ids]
         if missing:
             raise ValueError(f"images not in the dataset: {', '.join(missing)}")
@@ -376,14 +388,13 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    rm = load_run_manifest(args.manifest, seed_override=args.seed)
-    ds = _require_dataset(rm)
-    methods = _parse_methods(args.methods)
-    percentiles = rm.coverage.percentiles if args.percentiles is None else tuple(
-        float(v) for chunk in args.percentiles for v in chunk.split(",") if v
-    )
     out_path = Path(args.out)
-    with _RunStatus(out_path.with_name(out_path.name + ".status"), "coverage", rm.seed):
+    with _RunStatus(out_path.with_name(out_path.name + ".status"), "coverage", args.seed) as status:
+        rm, ds = status.load_inputs(args)
+        methods = _parse_methods(args.methods)
+        percentiles = rm.coverage.percentiles if args.percentiles is None else tuple(
+            float(v) for chunk in args.percentiles for v in chunk.split(",") if v
+        )
         models = {}
         for model_path in args.models:
             model, _ = load_model(model_path)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .attribution import METHODS, AttributionMap, OcclusionConfig, PathConfig
 from .autodiff import TapeError
 from .layers import LayerShapeError
@@ -173,7 +174,7 @@ def write_csv(path, header: str, rows, provenance=None) -> None:
     lines = [f"# {k}={v}" for k, v in sorted((provenance or {}).items())]
     lines.append(header)
     lines.extend(rows)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -260,7 +261,7 @@ def save_annotations(ann: AnnotationSet, path, meta=None) -> None:
         },
         "meta": {str(k): str(v) for k, v in sorted((meta or {}).items())},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -28,6 +28,7 @@ import re
 
 import numpy as np
 
+from .atomic import atomic_open
 from .layers import (
     LAYER_KINDS,
     Conv2d,
@@ -308,7 +309,7 @@ def save_model(model: Model, path, meta=None) -> None:
         lines.append(f"meta.{key}={meta[key]}")
 
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(manifest).to_bytes(4, "little"))
         fh.write(manifest)

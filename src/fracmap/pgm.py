@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .atomic import atomic_open
+
 __all__ = ["write_pgm", "read_pgm", "to_unit", "to_bytes_gray"]
 
 
@@ -30,7 +32,7 @@ def write_pgm(path, gray: np.ndarray, comment: str | None = None) -> None:
     if comment is not None and "\n" in comment:
         raise ValueError("PGM comments must be single-line")
     h, w = gray.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"P5\n")
         if comment is not None:
             fh.write(f"# {comment}\n".encode("ascii"))

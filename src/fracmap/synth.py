@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .coverage import AnnotationSet, load_annotations, save_annotations
 from .pgm import read_pgm, to_bytes_gray, to_unit, write_pgm
 from .tensor import Tensor
@@ -349,7 +350,7 @@ def save_dataset(ds: Dataset, out_dir) -> tuple:
         write_pgm(out_dir / rel, to_bytes_gray(img.array[0]), comment=comment)
         lines.append(f"image={rel} id={image_id} label={ds.class_names[label]} split={tag}")
     manifest_path = out_dir / "dataset.txt"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with atomic_open(manifest_path) as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest_path, ann_path
 

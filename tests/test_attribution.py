@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.attribution import (
+    MAP_BATCH,
     METHODS,
     AttributionMap,
     OcclusionConfig,
@@ -21,6 +22,7 @@ from fracmap.attribution import (
     saliency,
     write_heatmap,
 )
+from fracmap.attribution import _occlusion_grid, _upsample_covering
 from fracmap.autodiff import forward_values, kink_margin, numeric_gradient
 from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
@@ -101,6 +103,30 @@ class TestOcclusion:
                 occ[:, i : i + 2, j : j + 2] = 0.0
                 score = base - forward_values(m, occ)[0]
                 assert np.max(np.abs(amap.values[i : i + 2, j : j + 2] - score)) < 1e-12
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_equals_a_plain_pass_per_variant_byte_for_byte(self, per_channel):
+        # Scores from plain forward passes over every occluded variant, in
+        # MAP_BATCH chunks, as occlusion computed them before it reused the
+        # clean image's rows.
+        m = random_cnn(seed=8, input_shape=(2, 32, 32), channels=(8, 16), head="gap")
+        x = rand_image(8, (2, 32, 32))
+        cfg = OcclusionConfig(patch_h=6, patch_w=4, stride_h=3, stride_w=2, per_channel=per_channel)
+        positions = _occlusion_grid(x.shape, cfg)
+        base = float(forward_values(m, x.array)[1])
+        variants = []
+        for i, j in positions:
+            for ch in ([0, 1] if per_channel else [slice(None)]):
+                occ = x.array.copy()
+                occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
+                variants.append(occ)
+        drops = np.empty(len(variants))
+        for start in range(0, len(variants), MAP_BATCH):
+            chunk = np.stack(variants[start : start + MAP_BATCH])
+            drops[start : start + len(chunk)] = base - forward_values(m, chunk)[:, 1]
+        scores = drops.reshape(len(positions), -1).sum(axis=1)
+        expect = _upsample_covering(x.shape, positions, scores, cfg)
+        assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
 
     def test_per_channel_sum_matches_joint_for_linear_model(self):
         rng = np.random.default_rng(5)

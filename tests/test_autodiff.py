@@ -141,6 +141,52 @@ class _Recorder:
         return self.layer.backward(*args, input_grad=False)
 
 
+def patch_variants(x, patch, stride, per_channel=False):
+    """``x`` with a zero patch at each strided position, one channel at a time
+    with ``per_channel``; preceded by ``x`` itself, which differs in no row."""
+    c, h, w = x.shape
+    out = [x.copy()]
+    for i in range(0, h - patch + 1, stride):
+        for j in range(0, w - patch + 1, stride):
+            for ch in range(c) if per_channel else [slice(None)]:
+                occ = x.copy()
+                occ[ch, i : i + patch, j : j + patch] = 0.0
+                out.append(occ)
+    return np.stack(out)
+
+
+class TestForwardFromBase:
+    """``forward_values(..., base=)`` reuses the base image's rows without changing a byte."""
+
+    @pytest.mark.parametrize(
+        "model, patch, stride, per_channel",
+        [
+            (tiny_cnn(1, input_shape=(1, 32, 32)), 8, 4, False),
+            (tiny_cnn(2, input_shape=(3, 64, 64)), 8, 12, True),
+            (random_cnn(seed=3, input_shape=(1, 22, 22), channels=(4, 8), padding="valid"), 5, 3, False),
+            (random_cnn(seed=4, input_shape=(2, 16, 16), channels=(4, 8), pool=False), 4, 3, True),
+            (random_cnn(seed=5, input_shape=(1, 16, 16), channels=(4, 8), head="gap"), 3, 2, False),
+            # conv1's output is 12 wide, not a multiple of the GEMM tile: the
+            # row-local prefix ends before it.
+            (random_cnn(seed=9, input_shape=(1, 24, 24), channels=(8, 16, 16)), 8, 4, False),
+            (linear_model(np.random.default_rng(6).normal(size=(2, 36)), (1, 6, 6)), 2, 2, False),
+        ],
+        ids=["tiny_32", "tiny_3x64", "valid", "no_pool", "gap_head", "width_12", "linear"],
+    )
+    def test_bytes_equal_a_plain_pass(self, model, patch, stride, per_channel):
+        x = rand_image(7, model.input_shape).array
+        xb = patch_variants(x, patch, stride, per_channel)
+        plain = forward_values(model, xb)
+        assert forward_values(model, xb, base=x).tobytes() == plain.tobytes()
+        single = forward_values(model, xb[1])
+        assert forward_values(model, xb[1], base=x).tobytes() == single.tobytes()
+
+    def test_base_of_the_wrong_shape_rejected(self):
+        model = tiny_cnn(1, input_shape=(1, 32, 32))
+        with pytest.raises(ModelError, match="base shape"):
+            forward_values(model, np.zeros((2, 1, 32, 32)), base=np.zeros((1, 16, 16)))
+
+
 class TestGradInput:
     def test_linear_model_gradient_is_weight_row(self):
         rng = np.random.default_rng(0)

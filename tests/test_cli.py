@@ -419,6 +419,41 @@ class TestCoverage:
 
 
 class TestRunStatus:
+    @pytest.mark.parametrize("command", ["train", "attack", "attribute", "coverage"])
+    @pytest.mark.parametrize("seed", [None, 9])
+    def test_missing_manifest_replaces_an_earlier_status(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(tmp_path / "missing.json"), "--out", str(out)]
+        argv += {
+            "train": ["--mode", "standard"],
+            "attack": ["--models", "m.mwf"],
+            "attribute": ["--model", "m.mwf", "--methods", "saliency", "--images", "img_0000"],
+            "coverage": ["--models", "m.mwf", "--methods", "saliency"],
+        }[command]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        status = out / "run-status.txt" if command == "attribute" else tmp_path / "out.status"
+        status.parent.mkdir(parents=True, exist_ok=True)
+        status.write_text("ok\ncommand=earlier\nseed=1\n")
+        assert main(argv) == 1
+        state, *tail = status.read_text().splitlines()
+        assert state.startswith("failed: ManifestError: ") and "missing.json" in state
+        assert tail[1] == f"seed={'unknown' if seed is None else seed}"
+
+    def test_unloadable_model_replaces_an_earlier_ok(self, workspace, trained, tmp_path, capsys):
+        std, _ = trained
+        out = tmp_path / "maps"
+        argv = ["attribute", "--manifest", str(workspace / "rm.json"), "--methods", "saliency"]
+        argv += ["--images", "img_0000", "--out", str(out)]
+        assert main(argv + ["--model", str(std)]) == 0
+        ok = f"ok\ncommand=attribute\nseed={SEED}\n"
+        assert (out / "run-status.txt").read_text() == ok
+        bad = tmp_path / "bad.mwf"
+        bad.write_bytes(b"XXXX....")
+        assert main(argv + ["--model", str(bad)]) == 1
+        state, *tail = (out / "run-status.txt").read_text().splitlines()
+        assert state.startswith("failed: WeightFormatError: ") and "bad.mwf" in state
+        assert tail == ["command=attribute", f"seed={SEED}"]
     def test_failed_run_records_failure(self, workspace, tmp_path, capsys):
         out = tmp_path / "m.mwf"
         manifest = {"seed": 1, "dataset": str(workspace / "data" / "dataset.txt"), "train": {"epochs": 2, "learning_rate": 1e80}}

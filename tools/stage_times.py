@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Wall time of the pipeline stages that no perfbench workload times.
+
+    python3 tools/stage_times.py TREE [REPEATS]   (about 10 s on a 2-vCPU host)
+
+Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
+corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
+and a standard and an adversarial ``tiny_cnn`` trained with the settings of
+its ``zero.json`` manifest. It then times two stages on them, REPEATS times
+each (default 20), and prints the median and the fastest run in seconds:
+
+* ``coverage_table``: both models, all four methods (occlusion 8x8 at
+  stride 4, IG-20 and DeepLIFT from a zero image), percentiles
+  0/15/75/85/95, over the annotated test images;
+* ``adv_accuracy``: PGD-10 (epsilon 0.0157, step 0.0039) on the test
+  split, for both models.
+
+BLAS is pinned to one thread, as in perfbench. Run it once on the parent
+commit's tree and once on a change's to compare the two.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+MANIFEST = {
+    "seed": 5,
+    "dataset": "data/dataset.txt",
+    "train": {"epochs": 12, "batch_size": 6},
+    "attack": {"epsilon": 0.0157, "step_size": 0.0039, "iters": 10},
+    "train_attack": {"epsilon": 0.0157, "step_size": 0.0078, "iters": 5},
+}
+PERCENTILES = (0.0, 15.0, 75.0, 85.0, 95.0)
+METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
+
+
+def _timed(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), min(times)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    repeats = int(argv[1]) if len(argv) == 2 else 20
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads
+    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    from fracmap.attack import AttackConfig, adv_accuracy
+    from fracmap.cli import main as cli
+    from fracmap.coverage import coverage_table
+    from fracmap.model import load_model
+    from fracmap.synth import load_dataset
+
+    with tempfile.TemporaryDirectory(prefix="stage-times-") as tmp:
+        work = Path(tmp)
+        (work / "rm.json").write_text(json.dumps(MANIFEST), encoding="utf-8")
+        rm = ["--manifest", str(work / "rm.json")]
+        steps = [
+            ["synth", "--seed", "5", "--n", "24", "--size", "32", "--out", str(work / "data")],
+            ["train", *rm, "--mode", "standard", "--out", str(work / "std.mwf")],
+            ["train", *rm, "--mode", "adversarial", "--out", str(work / "adv.mwf")],
+        ]
+        if any(cli(step) != 0 for step in steps):
+            return 1
+        ds = load_dataset(work / "data" / "dataset.txt")
+        models = {name: load_model(work / f"{name}.mwf")[0] for name in ("std", "adv")}
+
+    atk = AttackConfig(**MANIFEST["attack"], seed=MANIFEST["seed"])
+    stages = {
+        "coverage_table": lambda: coverage_table(models, METHODS, PERCENTILES, ds, ds.annotations),
+        "adv_accuracy": lambda: [adv_accuracy(m, ds, "test", atk) for m in models.values()],
+    }
+    print(f"tree {Path(argv[0]).resolve()}, {len(ds.split_indices('test'))} test images")
+    for name, fn in stages.items():
+        median, fastest = _timed(fn, repeats)
+        print(f"{name}: median {median:.3f} s, fastest {fastest:.3f} s over {repeats} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
