@@ -3,7 +3,9 @@
 ``forward`` evaluates a model on one image and records a tape of per-layer
 saved values. ``backward`` consumes that tape once, seeding the reverse pass
 with a cotangent over the logits, and returns the gradient with respect to
-the input pixels (and, on request, with respect to named parameters).
+the input pixels (and, on request, with respect to named parameters). The
+reverse pass frees each layer's saved values as soon as it has used them,
+so a consumed tape keeps no saved values.
 
 Layers compute over a leading batch axis; the batched entry points
 (``forward_batch`` / ``backward_batch``) expose that directly for training
@@ -61,7 +63,8 @@ class TapeError(RuntimeError):
 class Tape:
     """Record of one forward evaluation: per-layer saved values plus the output.
 
-    A tape backs exactly one reverse pass; ``backward`` marks it consumed.
+    A tape backs exactly one reverse pass; ``backward`` marks it consumed and
+    empties ``records`` as it goes.
     """
 
     model: "object"
@@ -207,6 +210,10 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     With ``input_grad=False`` the pass stops at the lowest layer that owns a
     requested parameter, which computes only its parameter gradients, and
     ``grad_input`` is None.
+
+    Each record leaves the tape as its layer's ``backward`` returns, so its
+    saved arrays are freed while the pass goes on; records below an early
+    stop are dropped before it starts. A consumed tape keeps no saved values.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous reverse pass")
@@ -217,20 +224,20 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     grad_names = frozenset(grad_names)
     model = tape.model
     records = tape.records
-    stop = 0
     if not input_grad:
         owners = [i for i, (layer, _) in enumerate(records) if grad_names & set(layer.param_names())]
+        del records[: owners[0] if owners else len(records)]
         if not owners:
             return None, {}
-        stop = owners[0]
     gy = seed
     param_grads = {}
-    for i in range(len(records) - 1, stop - 1, -1):
-        layer, saved = records[i]
-        if i == stop and not input_grad:
-            gy, grads = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
-        else:
+    while records:
+        layer, saved = records.pop()
+        if records or input_grad:
             gy, grads = layer.backward(model.params, saved, gy, grad_names)
+        else:
+            gy, grads = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
+        del saved  # the last reference: the layer's saved arrays are freed here
         param_grads.update(grads)
     return gy, param_grads
 

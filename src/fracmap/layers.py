@@ -48,8 +48,12 @@ The two hot kernels produce the bytes of a plain per-image evaluation:
   multiply gives the same bytes faster. The input gradient is blocked the
   same way; the weight gradient keeps a per-image GEMM and a batch sum.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
-  and saves only ``x`` and ``y``; backward routes to the first view equal to
-  ``y``, and DeepLIFT rebuilds the windows from ``x``.
+  and saves only ``x`` and ``y``; DeepLIFT rebuilds the windows from ``x``.
+  Backward routes each window's gradient to the first view equal to ``y``:
+  per view, a 0/1 mask of the cells it takes multiplies the bit patterns of
+  ``gy`` (as uint64) straight into that view of ``gx``. A routed cell gets
+  ``gy``'s exact bits, -0.0 and NaN included, and every other cell +0.0,
+  the bytes of ``np.where(hit, gy, 0.0)`` without its temporaries.
 """
 
 from __future__ import annotations
@@ -339,14 +343,18 @@ class MaxPool2(_Layer):
 
     def backward(self, params, saved, gy, grad_names):
         # Route gy to the first view, in row-major order, that equals the
-        # max; every other cell gets +0.0.
+        # max; every other cell gets +0.0. Multiplying gy's bit patterns by
+        # the 0/1 hit mask keeps them exactly, -0.0 and NaN included.
         x, y = saved["x"], saved["y"]
         gx = np.empty(x.shape, dtype=np.float64)
+        gy_bits = np.asarray(gy, dtype=np.float64).view(np.uint64)
         unrouted = np.ones(y.shape, dtype=bool)
-        for v, g in zip(self._views(x), self._views(gx)):
-            hit = (v == y) & unrouted
-            unrouted &= ~hit
-            g[...] = np.where(hit, gy, 0.0)
+        hit = np.empty(y.shape, dtype=bool)
+        for v, g in zip(self._views(x), self._views(gx.view(np.uint64))):
+            np.equal(v, y, out=hit)
+            hit &= unrouted
+            unrouted ^= hit
+            np.multiply(gy_bits, hit, out=g)
         return gx, {}
 
     def multipliers(self, params, saved_x, saved_ref, m_out):

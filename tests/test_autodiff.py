@@ -1,5 +1,10 @@
 """Forward evaluation, tape semantics, and gradient correctness."""
 
+import os
+import resource
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +128,80 @@ class TestParamOnlyPass:
         assert calls[-1] == (lowest, False)
         assert all(keep for _, keep in calls[:-1])
         assert [name for name, _ in calls] == [l.name for l in reversed(model.layers)][: len(calls)]
+
+
+# Measured with a batch-32 tiny_cnn pass (forward leaves 33.8 MiB live):
+# the reverse pass peaks 1.9 MiB above that when it frees each layer's saved
+# values as it goes, and 17.1 MiB above when the tape keeps them all.
+REVERSE_PASS_EXTRA_BYTES = 8 * 2**20
+
+
+def _is_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestTapeMemory:
+    """The reverse pass frees saved values as it goes, and passes reuse memory."""
+
+    @staticmethod
+    def _batch(model, n=32):
+        xb = np.random.default_rng(0).uniform(0.0, 1.0, (n,) + model.input_shape)
+        return xb, frozenset(name for name, flag in model.trainable.items() if flag)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_consumed_tape_keeps_no_saved_arrays(self, input_grad):
+        model = tiny_cnn(3, input_shape=(1, 32, 32))
+        xb, names = self._batch(model, n=4)
+        logits, tape = forward_batch(model, xb)
+        refs = [
+            weakref.ref(value)
+            for _, saved in tape.records
+            for value in saved.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(refs) >= len(model.layers) - 3
+        backward_batch(tape, np.ones_like(logits), names, input_grad=input_grad)
+        assert tape.records == []
+        assert all(ref() is None for ref in refs)
+
+    def test_no_owner_pass_drops_every_record(self):
+        model = tiny_cnn(3, input_shape=(1, 32, 32))
+        logits, tape = forward_batch(model, self._batch(model, n=2)[0])
+        assert backward_batch(tape, np.ones_like(logits), input_grad=False) == (None, {})
+        assert tape.records == []
+
+    def test_reverse_pass_allocates_little_beyond_the_forward(self):
+        model = tiny_cnn(3)
+        xb, names = self._batch(model)
+        tracemalloc.start()
+        try:
+            logits, tape = forward_batch(model, xb)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward_batch(tape, np.ones_like(logits), names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= REVERSE_PASS_EXTRA_BYTES
+
+    @pytest.mark.skipif(not _is_glibc(), reason="the heap settings are glibc's")
+    def test_repeated_passes_do_not_fault_in_fresh_pages(self):
+        model = tiny_cnn(3)
+        xb, names = self._batch(model)
+
+        def one_pass():
+            logits, tape = forward_batch(model, xb)
+            backward_batch(tape, np.ones_like(logits), names)
+
+        one_pass()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            one_pass()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500
 
 
 class _Recorder:

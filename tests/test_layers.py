@@ -84,13 +84,20 @@ class TestConv2dOracle:
 
 
 def _direct_pool(x):
-    """First maximum of each 2x2 window in row-major order, and its position."""
+    """First maximum of each 2x2 window in row-major order, and its position.
+
+    A window holding a NaN has a NaN maximum and no position (None): its
+    gradient goes to no cell.
+    """
     n, c, h, w = x.shape
     y = np.empty((n, c, h // 2, w // 2))
     where = {}
     for idx in np.ndindex(n, c, h // 2, w // 2):
         b, ch, i, j = idx
         cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+        if any(np.isnan(x[b, ch][cell]) for cell in cells):
+            y[idx], where[idx] = np.nan, None
+            continue
         best = cells[0]
         for cell in cells[1:]:
             if x[b, ch][cell] > x[b, ch][best]:
@@ -98,6 +105,15 @@ def _direct_pool(x):
         y[idx] = x[b, ch][best]
         where[idx] = best
     return y, where
+
+
+def _direct_pool_grad(x, gy):
+    """gy's value copied to each window's first-maximum cell; +0.0 elsewhere."""
+    gx = np.zeros_like(x)
+    for (b, ch, i, j), cell in _direct_pool(x)[1].items():
+        if cell is not None:
+            gx[b, ch][cell] = gy[b, ch, i, j]
+    return gx
 
 
 def _tied_pool_input():
@@ -128,14 +144,37 @@ class TestMaxPool2Oracle:
         gy = -np.abs(np.random.default_rng(8).standard_normal(y.shape)) - 0.5  # all negative
         gx, grads = layer.backward({}, saved, gy, frozenset())
         assert grads == {}
-        _, where = _direct_pool(x)
-        expected = np.zeros_like(x)
-        for (b, ch, i, j), cell in where.items():
-            expected[b, ch][cell] = gy[b, ch, i, j]
+        expected = _direct_pool_grad(x, gy)
         assert np.array_equal(gx, expected)
         # Unrouted cells hold +0.0, never -0.0.
         assert np.array_equal(np.signbit(gx), np.signbit(expected))
         assert np.count_nonzero(gx) == y.size
+
+    def test_backward_copies_gradient_bits_and_leaves_plus_zero(self):
+        # Routed cells get gy's exact bits (-0.0, NaN, +-inf included); every
+        # other cell gets +0.0, also where gy is NaN, inf or negative. A
+        # product ``gy * hit`` would leave -0.0 and NaN in unrouted cells.
+        x = _tied_pool_input()
+        x[1, 0, 0:2, 0:2] = [[1.0, np.nan], [2.0, 3.0]]  # NaN window: routes nowhere
+        x[1, 0, 0:2, 2:4] = [[np.nan, np.nan], [-np.inf, 0.0]]
+        x[1, 1, 0:2, 0:2] = [[0.0, np.inf], [1.0, np.inf]]  # first +inf takes it
+        x[1, 1, 0:2, 2:4] = [[-np.inf, -np.inf], [-np.inf, -np.inf]]
+        x[1, 1, 0:2, 4:6] = [[-np.inf, -7.0], [np.inf, -np.inf]]
+        layer = MaxPool2("pl")
+        y, saved = layer.forward({}, x)
+        gy = np.random.default_rng(10).standard_normal(y.shape)
+        specials = [-0.0, np.nan, np.inf, -np.inf]
+        flat = gy.reshape(-1)
+        flat[::5] = np.resize(specials, flat[::5].size)
+        gy[1, 0, 0, 0:2] = [np.nan, -0.0]  # the NaN windows
+        gy[1, 1, 0, 0:3] = [-0.0, np.nan, -np.inf]  # the inf windows
+        gx, _ = layer.backward({}, saved, gy, frozenset())
+        assert gx.tobytes() == _direct_pool_grad(x, gy).tobytes()
+        where = _direct_pool(x)[1]
+        assert where[1, 0, 0, 0] is None and where[1, 0, 0, 1] is None
+        routed = np.array([gy[idx] for idx, cell in where.items() if cell is not None])
+        assert np.any(np.isnan(routed)) and np.any(np.isinf(routed) & (routed > 0))
+        assert np.any(np.isinf(routed) & (routed < 0)) and np.any((routed == 0) & np.signbit(routed))
 
     def test_deeplift_sums_to_delta_on_tied_windows(self):
         # Constant image regions give all-equal pool windows after the ReLU.

@@ -7,7 +7,9 @@ Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
 corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
 and a standard and an adversarial ``tiny_cnn`` trained with the settings of
 its ``zero.json`` manifest. It then times two stages on them, REPEATS times
-each (default 20), and prints the median and the fastest run in seconds:
+each (default 20), and prints the median and the fastest run in seconds and
+the median count of minor page faults per run (the process's ``ru_minflt``
+delta), which shows allocation churn without a tracer:
 
 * ``coverage_table``: both models, all four methods (occlusion 8x8 at
   stride 4, IG-20 and DeepLIFT from a zero image), percentiles
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -41,12 +44,15 @@ METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
 
 
 def _timed(fn, repeats):
-    times = []
+    """Median and fastest wall time, and median minor page faults, per run."""
+    times, faults = [], []
     for _ in range(repeats):
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), min(times)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+    return statistics.median(times), min(times), statistics.median(faults)
 
 
 def main(argv=None) -> int:
@@ -85,8 +91,11 @@ def main(argv=None) -> int:
     }
     print(f"tree {Path(argv[0]).resolve()}, {len(ds.split_indices('test'))} test images")
     for name, fn in stages.items():
-        median, fastest = _timed(fn, repeats)
-        print(f"{name}: median {median:.3f} s, fastest {fastest:.3f} s over {repeats} runs")
+        median, fastest, faults = _timed(fn, repeats)
+        print(
+            f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
+            f"{faults:g} minor faults per run (median) over {repeats} runs"
+        )
     return 0
 
 
