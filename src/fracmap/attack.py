@@ -8,6 +8,7 @@ and adversarial accuracies into the drop metric and the robustness ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,10 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if not 0 <= self.step_size < math.inf:
+            raise ValueError("step_size must be finite and >= 0")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import backward_batch, forward_batch, forward_values, grad_input
+from .layers import round_up_to_tile
 from .pgm import to_bytes_gray, write_pgm
 from .tensor import Tensor
 
@@ -50,7 +51,7 @@ __all__ = [
     "write_heatmap",
 ]
 
-MAP_BATCH = 64  # images per forward pass when a map needs many of them
+MAP_BATCH = 64  # images per forward pass when a map needs many of them; a whole number of GEMM tiles
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,13 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
     Variants are evaluated MAP_BATCH at a time against ``x`` as the base, so
-    only the rows a patch reaches are recomputed.
+    only the rows a patch reaches are recomputed. Copies of ``x`` pad the
+    variants to whole GEMM tiles, at least one of them, and the clean logit
+    is read from the last: every row then lies in a full tile of the same
+    BLAS kernels, so a patch that changes no pixel scores exactly 0.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
-    base = float(forward_values(model, x.array)[c])
     channels = range(x.shape[0]) if cfg.per_channel else [None]
 
     variants = []
@@ -182,11 +185,13 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
             sel = slice(None) if ch is None else ch
             occ[sel, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
             variants.append(occ)
-    drops = np.empty(len(variants))
+    n = len(variants)
+    variants += [x.array] * (round_up_to_tile(n + 1) - n)
+    logits = np.empty(len(variants))
     for start in range(0, len(variants), MAP_BATCH):
         chunk = np.stack(variants[start : start + MAP_BATCH])
-        f = forward_values(model, chunk, base=x.array)[:, c]
-        drops[start : start + len(chunk)] = base - f
+        logits[start : start + len(chunk)] = forward_values(model, chunk, base=x.array)[:, c]
+    drops = logits[-1] - logits[:n]
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(

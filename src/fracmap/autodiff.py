@@ -20,9 +20,7 @@ row is ``b``'s, computed once per call. The rest of the model runs over the
 whole batch, as in a plain call. The result is byte-identical to
 ``forward_values(model, xb)``: each prefix layer computes an output row
 from its input rows alone, elementwise or, for a ``Conv2d``, in a GEMM
-column whose BLAS tile does not move. That last part holds for one input
-channel (a broadcast product) or an output width that is a multiple of
-``GEMM_TILE``; the prefix ends before any other ``Conv2d``.
+column that BLAS computes with its full-tile kernel wherever the band lies.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -34,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import GEMM_TILE
 from .model import ModelError
 from .tensor import Tensor
 
@@ -137,15 +134,9 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
 
 def _row_local_prefix(model) -> int:
     """How many leading layers compute each output row exactly from a crop of input rows."""
-    shape = model.input_shape
     for k, layer in enumerate(model.layers):
         if layer.kind not in ("standardize", "relu", "maxpool2", "conv2d"):
             return k
-        out_shape = layer.out_shape(shape)
-        # A band's columns land on the tiles of a full pass only if rows span whole tiles.
-        if layer.kind == "conv2d" and layer.in_channels > 1 and out_shape[2] % GEMM_TILE:
-            return k
-        shape = out_shape
     return len(model.layers)
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,10 +73,11 @@ def _fail(path: Path, field: str, problem: str):
     raise ManifestError(f"manifest {path}: field {field!r}: {problem}")
 
 
-# JSON type of a manifest value -> (whether a parsed value has it, its config form)
+# JSON type of a manifest value -> (whether a parsed value has it, its config form).
+# Python's json reads NaN and Infinity; a "number" must be finite.
 _JSON_TYPES = {
     "integer": (lambda v: type(v) is int, int),
-    "number": (lambda v: type(v) in (int, float), float),
+    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), float),
     "boolean": (lambda v: type(v) is bool, bool),
     "string": (lambda v: type(v) is str, str),
     '"zero" | "mean"': (lambda v: v in ("zero", "mean"), str),
@@ -84,7 +86,8 @@ _JSON_TYPES = {
         tuple,
     ),
     "[number, ...]": (
-        lambda v: type(v) is list and all(type(nu) in (int, float) for nu in v),
+        lambda v: type(v) is list
+        and all(type(nu) in (int, float) and math.isfinite(nu) for nu in v),
         lambda v: tuple(float(nu) for nu in v),
     ),
 }

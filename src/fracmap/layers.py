@@ -41,12 +41,25 @@ saves and loads every kind through these fields and ``LAYER_KINDS``.
 The two hot kernels produce the bytes of a plain per-image evaluation:
 
 * ``Conv2d`` runs, per kernel offset, one channel-first GEMM
-  ``(O x C) @ (C x block*oh*ow)`` over a block of images, sized by
+  ``(O x C) @ (C x columns)`` over a block of images, sized by
   ``CONV_BLOCK_VALUES`` so that the block's output stays in cache. Each
   output still sums over C inside one product and over offsets in
   row-major order. With C == 1 the product has K = 1, and a broadcast
-  multiply gives the same bytes faster. The input gradient is blocked the
-  same way; the weight gradient keeps a per-image GEMM and a batch sum.
+  multiply gives the same bytes faster. The columns come from one zeroed
+  channel-first buffer per batch (``_pitched``, kept as the saved ``xp``):
+  every zero-padded plane is stored once with row pitch ``wp``, so kernel
+  offset (dh, dw) reads the contiguous slice ``dh * wp + dw`` columns past
+  the block's start, with no window copy and no ``np.pad``. The valid
+  columns are taken once per block. The input gradient writes ``gy`` into
+  such a buffer and adds each offset's product into a shifted slice of a
+  pitched ``gx``. The columns outside the output planes are dropped, or,
+  in ``gx``, add products of ``gy``'s zeros: with finite weights each is
+  +0.0 or -0.0, and adding either to a sum that starts at +0.0 changes no
+  byte, because such a sum is never -0.0. Planes start on a GEMM_TILE
+  column and every product spans whole tiles, so each column gets BLAS's
+  full-tile kernel: an image's bytes do not depend on its block, nor on
+  which rows of it a product covers. The weight gradient keeps a
+  per-image GEMM and a batch sum, over windows copied from ``xp``.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
   and saves only ``x`` and ``y``; DeepLIFT rebuilds the windows from ``x``.
   Backward routes each window's gradient to the first view equal to ``y``:
@@ -77,10 +90,19 @@ __all__ = [
 # Below this input delta the rescale ratio is replaced by the gradient.
 RESCALE_FALLBACK = 1e-7
 
-# Output values (channels x images x pixels) per block of a Conv2d GEMM.
+# Output values (channels x images x pixels) per block of a Conv2d GEMM;
+# of 16384 to 98304, the fastest for tiny_cnn's PGD training step.
 CONV_BLOCK_VALUES = 32768
-# Column tile of the BLAS GEMM kernels; see Conv2d._block.
+# Tile of the BLAS GEMM kernels: Conv2d's column tile, and a multiple of
+# Dense's 4-row tile. A row or column inside a full tile gets the same bits
+# wherever the tile lies; the last partial tile goes to edge kernels whose
+# summation order can differ.
 GEMM_TILE = 8
+
+
+def round_up_to_tile(n):
+    """n rounded up to a whole number of GEMM tiles."""
+    return -(-n // GEMM_TILE) * GEMM_TILE
 
 
 class LayerShapeError(ValueError):
@@ -206,45 +228,59 @@ class Conv2d(_Affine):
         return (self.out_channels, oh, ow)
 
     def _block(self, oh, ow):
-        """Images per GEMM block: as many as keep one block's output in cache.
-
-        BLAS computes a product's last few columns with edge kernels whose
-        summation order can differ, so images share a product only when
-        each starts on a column tile (oh * ow a multiple of GEMM_TILE);
-        otherwise every image gets its own product, as one image alone does.
-        """
-        if (oh * ow) % GEMM_TILE:
-            return 1
+        """Images per GEMM block: as many as keep one block's output in cache."""
         return max(1, CONV_BLOCK_VALUES // (max(self.out_channels, self.in_channels) * oh * ow))
+
+    def _offsets(self):
+        return [(dh, dw) for dh in range(self.kernel_h) for dw in range(self.kernel_w)]
+
+    def _pitched(self, n, c, hp, wp):
+        """Zeroed channel-first buffer of n padded hp x wp planes, the planes
+        as a (c, n, hp, wp) view, and the column stride between planes.
+
+        The stride is hp * wp rounded up to GEMM_TILE, and rows have pitch
+        wp: output pixel (r, s) of plane i is column i * stride + r * wp + s,
+        and its input under kernel offset (dh, dw) lies dh * wp + dw columns
+        further on. Past the planes, a zeroed tail keeps the last offset's
+        columns inside the buffer, whose row length is a GEMM_TILE multiple.
+        """
+        stride = round_up_to_tile(hp * wp)
+        cols = n * stride + (self.kernel_h - 1) * wp + self.kernel_w - 1
+        buf = np.zeros((c, round_up_to_tile(cols)), dtype=np.float64)
+        planes = buf[:, : n * stride].reshape(c, n, stride)[:, :, : hp * wp]
+        return buf, planes.reshape(c, n, hp, wp), stride
 
     def forward(self, params, x):
         # Per block of images and kernel offset, one channel-first GEMM
-        # (O x C) @ (C x block*oh*ow): each output sums over C inside one
-        # product and over offsets in row-major order, as per image. With
-        # C == 1 the product has K = 1, so a broadcast multiply is exact.
+        # (O x C) @ (C x columns): each output sums over C inside one product
+        # and over offsets in row-major order, as per image. With C == 1 the
+        # product has K = 1, so a broadcast multiply is exact. An offset's
+        # columns are a slice of the pitched buffer.
         w = params[f"{self.name}.weight"]
         b = params[f"{self.name}.bias"]
         ph, pw = self._pads()
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        n, c, o = x.shape[0], self.in_channels, self.out_channels
-        oh = xp.shape[2] - self.kernel_h + 1
-        ow = xp.shape[3] - self.kernel_w + 1
+        n, c, h, wdt = x.shape
+        o = self.out_channels
+        hp, wp = h + 2 * ph, wdt + 2 * pw
+        buf, planes, stride = self._pitched(n, c, hp, wp)
+        xp = planes.transpose(1, 0, 2, 3)
+        xp[:, :, ph : ph + h, pw : pw + wdt] = x
+        oh, ow = hp - self.kernel_h + 1, wp - self.kernel_w + 1
         y = np.empty((n, o, oh, ow), dtype=np.float64)
         step = self._block(oh, ow)
         for i in range(0, n, step):
-            blk = xp[i : i + step].transpose(1, 0, 2, 3)
-            m = blk.shape[1] * oh * ow
-            acc = np.zeros((o, m), dtype=np.float64)
-            for dh in range(self.kernel_h):
-                for dw in range(self.kernel_w):
-                    xs = np.ascontiguousarray(blk[:, :, dh : dh + oh, dw : dw + ow]).reshape(c, m)
-                    if c == 1:
-                        acc += w[:, 0, dh, dw][:, None] * xs
-                    else:
-                        acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
-            y[i : i + step] = acc.reshape(o, -1, oh, ow).transpose(1, 0, 2, 3)
-        y += b[None, :, None, None]
-        return y, {"xp": xp, "in_hw": x.shape[2:]}
+            k = min(step, n - i)
+            acc = np.zeros((o, k * stride), dtype=np.float64)
+            for dh, dw in self._offsets():
+                xs = buf[:, i * stride + dh * wp + dw :][:, : k * stride]
+                if c == 1:
+                    acc += w[:, 0, dh, dw][:, None] * xs
+                else:
+                    acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
+            acc += b[:, None]
+            acc = acc.reshape(o, k, stride)[:, :, : hp * wp].reshape(o, k, hp, wp)
+            y[i : i + k] = acc[..., :oh, :ow].transpose(1, 0, 2, 3)
+        return y, {"xp": xp}
 
     def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
@@ -258,30 +294,35 @@ class Conv2d(_Affine):
             # Per-image GEMM, then a sum over the batch, per kernel offset.
             gym = gy.reshape(n, o, oh * ow)
             gw = np.empty_like(w)
-            for dh in range(self.kernel_h):
-                for dw in range(self.kernel_w):
-                    xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
-                    xs = xs.reshape(n, c, oh * ow)
-                    gw[:, :, dh, dw] = np.matmul(gym, xs.transpose(0, 2, 1)).sum(axis=0)
+            for dh, dw in self._offsets():
+                xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
+                xs = xs.reshape(n, c, oh * ow)
+                gw[:, :, dh, dw] = np.matmul(gym, xs.transpose(0, 2, 1)).sum(axis=0)
             grads[f"{self.name}.weight"] = gw
         if not input_grad:
             return None, grads
-        # Blocked like forward: per offset, one (C x O) @ (O x block*oh*ow)
+        # Blocked like forward: per offset, one (C x O) @ (O x columns)
         # product, added into the padded gradient in row-major offset order.
+        # gy and gx are laid out as forward lays out x, and each whole
+        # product, flattened, is added into gx flattened and shifted by the
+        # offset: a row's last columns, which wrap into the next row, are
+        # products of gy's zeroed tail.
         ph, pw = self._pads()
-        h, wdt = saved["in_hw"]
+        hp, wp = xp.shape[2:]
+        h, wdt = hp - 2 * ph, wp - 2 * pw
         gx = np.empty((n, c, h, wdt), dtype=np.float64)
         step = self._block(oh, ow)
         for i in range(0, n, step):
-            gyb = np.ascontiguousarray(gy[i : i + step].transpose(1, 0, 2, 3))
-            k = gyb.shape[1]
-            gyb = gyb.reshape(o, k * oh * ow)
-            gxp = np.zeros((c, k) + xp.shape[2:], dtype=np.float64)
-            for dh in range(self.kernel_h):
-                for dw in range(self.kernel_w):
-                    gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gyb
-                    gxp[:, :, dh : dh + oh, dw : dw + ow] += gxs.reshape(c, k, oh, ow)
-            gx[i : i + step] = gxp[:, :, ph : ph + h, pw : pw + wdt].transpose(1, 0, 2, 3)
+            k = min(step, n - i)
+            gyb, gyp, _ = self._pitched(k, o, hp, wp)
+            gyp[:, :, :oh, :ow] = gy[i : i + k].transpose(1, 0, 2, 3)
+            # A spare channel row takes the last row's wrapped columns.
+            gxb, gxp, _ = self._pitched(k, c + 1, hp, wp)
+            gxf, gxp = gxb.reshape(-1), gxp[:c]
+            for dh, dw in self._offsets():
+                gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gyb
+                gxf[dh * wp + dw :][: gxs.size] += gxs.reshape(-1)
+            gx[i : i + k] = gxp[:, :, ph : ph + h, pw : pw + wdt].transpose(1, 0, 2, 3)
         return gx, grads
 
 

@@ -182,3 +182,9 @@ class TestAttackConfig:
             AttackConfig(step_size=-0.1)
         with pytest.raises(ValueError):
             AttackConfig(iters=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["epsilon", "step_size"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AttackConfig(**{field: value})

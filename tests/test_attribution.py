@@ -24,6 +24,8 @@ from fracmap.attribution import (
 )
 from fracmap.attribution import _occlusion_grid, _upsample_covering
 from fracmap.autodiff import forward_values, kink_margin, numeric_gradient
+from fracmap.layers import round_up_to_tile
+from fracmap.model import tiny_cnn
 from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
 from fracmap.tensor import Tensor
@@ -108,25 +110,39 @@ class TestOcclusion:
     def test_equals_a_plain_pass_per_variant_byte_for_byte(self, per_channel):
         # Scores from plain forward passes over every occluded variant, in
         # MAP_BATCH chunks, as occlusion computed them before it reused the
-        # clean image's rows.
+        # clean image's rows; copies of the clean image pad the variants to
+        # whole GEMM tiles, and the last gives the clean logit.
         m = random_cnn(seed=8, input_shape=(2, 32, 32), channels=(8, 16), head="gap")
         x = rand_image(8, (2, 32, 32))
         cfg = OcclusionConfig(patch_h=6, patch_w=4, stride_h=3, stride_w=2, per_channel=per_channel)
         positions = _occlusion_grid(x.shape, cfg)
-        base = float(forward_values(m, x.array)[1])
         variants = []
         for i, j in positions:
             for ch in ([0, 1] if per_channel else [slice(None)]):
                 occ = x.array.copy()
                 occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
                 variants.append(occ)
-        drops = np.empty(len(variants))
+        n = len(variants)
+        variants += [x.array] * (round_up_to_tile(n + 1) - n)
+        logits = np.empty(len(variants))
         for start in range(0, len(variants), MAP_BATCH):
             chunk = np.stack(variants[start : start + MAP_BATCH])
-            drops[start : start + len(chunk)] = base - forward_values(m, chunk)[:, 1]
-        scores = drops.reshape(len(positions), -1).sum(axis=1)
+            logits[start : start + len(chunk)] = forward_values(m, chunk)[:, 1]
+        scores = (logits[-1] - logits[:n]).reshape(len(positions), -1).sum(axis=1)
         expect = _upsample_covering(x.shape, positions, scores, cfg)
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("channels, per_channel", [(1, False), (3, False), (3, True)])
+    def test_patch_that_changes_no_pixel_scores_exactly_zero(self, channels, per_channel):
+        # The top-left 8x8 block already holds the baseline value, so the
+        # patch at (0, 0), the only one covering pixel (0, 0), changes
+        # nothing. A clean logit from a batch of one scored it about 1e-16.
+        m = tiny_cnn(1, input_shape=(channels, 64, 64))
+        img = np.random.default_rng(0).random((channels, 64, 64))
+        img[:, :8, :8] = 0.0
+        for c in (0, 1):
+            amap = occlusion(m, Tensor(img), c, OcclusionConfig(per_channel=per_channel))
+            assert amap.values[0, 0] == 0.0
 
     def test_per_channel_sum_matches_joint_for_linear_model(self):
         rng = np.random.default_rng(5)

@@ -245,12 +245,14 @@ class TestForwardFromBase:
             (random_cnn(seed=3, input_shape=(1, 22, 22), channels=(4, 8), padding="valid"), 5, 3, False),
             (random_cnn(seed=4, input_shape=(2, 16, 16), channels=(4, 8), pool=False), 4, 3, True),
             (random_cnn(seed=5, input_shape=(1, 16, 16), channels=(4, 8), head="gap"), 3, 2, False),
-            # conv1's output is 12 wide, not a multiple of the GEMM tile: the
-            # row-local prefix ends before it.
+            # conv1's output is 12 wide, not a multiple of the GEMM tile, so a
+            # band's columns sit elsewhere in their tiles than a full pass's.
             (random_cnn(seed=9, input_shape=(1, 24, 24), channels=(8, 16, 16)), 8, 4, False),
+            # 9x7 planes, not a whole number of GEMM tiles, at 2 and 4 channels.
+            (random_cnn(seed=10, input_shape=(2, 9, 7), channels=(4, 8), pool=False), 3, 2, True),
             (linear_model(np.random.default_rng(6).normal(size=(2, 36)), (1, 6, 6)), 2, 2, False),
         ],
-        ids=["tiny_32", "tiny_3x64", "valid", "no_pool", "gap_head", "width_12", "linear"],
+        ids=["tiny_32", "tiny_3x64", "valid", "no_pool", "gap_head", "width_12", "odd_planes", "linear"],
     )
     def test_bytes_equal_a_plain_pass(self, model, patch, stride, per_channel):
         x = rand_image(7, model.input_shape).array

@@ -145,6 +145,9 @@ class TestManifestKeys:
             ({"occlusion": {"stride": [4, 0]}}, "occlusion.stride"),
             ({"coverage": {"percentiles": [150]}}, "coverage.percentiles"),
             ({"deeplift": {"reference": "max"}}, "deeplift.reference"),
+            ({"attack": {"epsilon": float("nan")}}, "attack.epsilon"),
+            ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
+            ({"coverage": {"percentiles": [85, float("-inf")]}}, "coverage.percentiles"),
         ],
         ids=[
             "string-bool",
@@ -155,6 +158,9 @@ class TestManifestKeys:
             "range",
             "percentile-range",
             "zero-or-mean",
+            "nan",
+            "infinity",
+            "infinity-in-list",
         ],
     )
     def test_defect_names_manifest_and_field(self, tmp_path, payload, field):

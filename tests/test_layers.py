@@ -83,6 +83,105 @@ class TestConv2dOracle:
             )
 
 
+# The blocked Conv2d kernel before it read a row-pitched buffer, frozen as
+# a byte oracle: np.pad, a window copy per kernel offset, and the input
+# gradient added into strided windows. Blocks hold 32768 output values. It
+# is compared on planes whose oh*ow is a multiple of 8 only: on the others
+# it gave each image its own product, whose last columns BLAS computes with
+# edge kernels, and the pitched kernel, whose columns all lie in full tiles,
+# is checked there by the direct-loop oracle above.
+def _frozen_block(c, o, oh, ow):
+    return max(1, 32768 // (max(o, c) * oh * ow))
+
+
+def _frozen_conv_forward(x, w, b, ph, pw):
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    (o, c, kh, kw), n = w.shape, x.shape[0]
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    y = np.empty((n, o, oh, ow), dtype=np.float64)
+    step = _frozen_block(c, o, oh, ow)
+    for i in range(0, n, step):
+        blk = xp[i : i + step].transpose(1, 0, 2, 3)
+        m = blk.shape[1] * oh * ow
+        acc = np.zeros((o, m), dtype=np.float64)
+        for dh in range(kh):
+            for dw in range(kw):
+                xs = np.ascontiguousarray(blk[:, :, dh : dh + oh, dw : dw + ow]).reshape(c, m)
+                if c == 1:
+                    acc += w[:, 0, dh, dw][:, None] * xs
+                else:
+                    acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
+        y[i : i + step] = acc.reshape(o, -1, oh, ow).transpose(1, 0, 2, 3)
+    y += b[None, :, None, None]
+    return y, xp
+
+
+def _frozen_conv_backward(xp, w, gy, ph, pw):
+    """Input, weight and bias gradients."""
+    (o, c, kh, kw), (n, _, oh, ow) = w.shape, gy.shape
+    gb = gy.sum(axis=(0, 2, 3))
+    gym = gy.reshape(n, o, oh * ow)
+    gw = np.empty_like(w)
+    for dh in range(kh):
+        for dw in range(kw):
+            xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
+            xs = xs.reshape(n, c, oh * ow)
+            gw[:, :, dh, dw] = np.matmul(gym, xs.transpose(0, 2, 1)).sum(axis=0)
+    h, wdt = xp.shape[2] - 2 * ph, xp.shape[3] - 2 * pw
+    gx = np.empty((n, c, h, wdt), dtype=np.float64)
+    step = _frozen_block(c, o, oh, ow)
+    for i in range(0, n, step):
+        gyb = np.ascontiguousarray(gy[i : i + step].transpose(1, 0, 2, 3))
+        k = gyb.shape[1]
+        gyb = gyb.reshape(o, k * oh * ow)
+        gxp = np.zeros((c, k) + xp.shape[2:], dtype=np.float64)
+        for dh in range(kh):
+            for dw in range(kw):
+                gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gyb
+                gxp[:, :, dh : dh + oh, dw : dw + ow] += gxs.reshape(c, k, oh, ow)
+        gx[i : i + step] = gxp[:, :, ph : ph + h, pw : pw + wdt].transpose(1, 0, 2, 3)
+    return gx, gw, gb
+
+
+def _frozen_sample(c):
+    """Cases (out channels, input hw, kernel, padding, batch) for ``c`` input
+    channels: a seeded draw from a grid of shapes, kept where the output
+    plane is a whole number of 8-column tiles."""
+    cases = []
+    rng = np.random.default_rng(c)
+    hws = [(4, 4), (6, 6), (8, 8), (9, 7), (7, 9), (10, 12), (12, 12), (16, 16), (18, 18), (32, 32)]
+    while len(cases) < 24:
+        (h, w), k = hws[rng.integers(len(hws))], int(rng.choice([1, 3, 5]))
+        case = (int(rng.choice([2, 3, 8, 16])), (h, w), k,
+                str(rng.choice(["same", "valid"])), int(rng.choice([1, 3, 8])))
+        oh, ow = (h, w) if case[3] == "same" else (h - k + 1, w - k + 1)
+        if min(oh, ow) > 0 and (oh * ow) % 8 == 0:
+            cases.append(case)
+    return cases
+
+
+class TestConv2dFrozenKernel:
+    @pytest.mark.parametrize("c", [1, 2, 3, 8, 16])
+    def test_bytes_match_the_frozen_blocked_kernel(self, c):
+        for o, hw, k, padding, n in _frozen_sample(c):
+            layer = Conv2d("cv", c, o, k, k, padding)
+            ph, pw = layer._pads()
+            rng = np.random.default_rng(n * 1000 + o * 10 + k)
+            w, b = rng.standard_normal((o, c, k, k)), rng.standard_normal(o)
+            params = {"cv.weight": w, "cv.bias": b}
+            x = rng.standard_normal((n, c) + hw)
+            y, saved = layer.forward(params, x)
+            y0, xp0 = _frozen_conv_forward(x, w, b, ph, pw)
+            gy = rng.standard_normal(y0.shape)
+            gx, grads = layer.backward(params, saved, gy, frozenset(params))
+            gx0, gw0, gb0 = _frozen_conv_backward(xp0, w, gy, ph, pw)
+            case = (c, o, hw, k, padding, n)
+            assert y.tobytes() == y0.tobytes(), case
+            assert gx.tobytes() == gx0.tobytes(), case
+            assert grads["cv.weight"].tobytes() == gw0.tobytes(), case
+            assert grads["cv.bias"].tobytes() == gb0.tobytes(), case
+
+
 def _direct_pool(x):
     """First maximum of each 2x2 window in row-major order, and its position.
 

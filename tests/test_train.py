@@ -105,6 +105,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=value)
+
 
 class TestAdvTrain:
     def test_zero_epsilon_equals_standard_training(self, small_dataset):

@@ -17,6 +17,12 @@ delta), which shows allocation churn without a tracer:
 * ``adv_accuracy``: PGD-10 (epsilon 0.0157, step 0.0039) on the test
   split, for both models.
 
+Last it prints a per-layer table: the median forward and backward time
+of every ``tiny_cnn(0)`` layer on one batch of 32 uniform 64x64 images
+(seed 0), over REPEATS rounds in which the layers take turns. Each
+layer's backward takes a standard normal output gradient and computes the
+input gradient and every parameter gradient the layer has.
+
 BLAS is pinned to one thread, as in perfbench. Run it once on the parent
 commit's tree and once on a change's to compare the two.
 """
@@ -41,6 +47,8 @@ MANIFEST = {
 }
 PERCENTILES = (0.0, 15.0, 75.0, 85.0, 95.0)
 METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
+LAYER_BATCH = 32
+LAYER_INPUT = (1, 64, 64)
 
 
 def _timed(fn, repeats):
@@ -55,6 +63,36 @@ def _timed(fn, repeats):
     return statistics.median(times), min(times), statistics.median(faults)
 
 
+def _layer_times(tiny_cnn, repeats):
+    """Median forward and backward seconds per tiny_cnn layer at batch 32.
+
+    The layers take turns, one forward and one backward each per round, so
+    that a slow spell of a shared host spreads over all of them.
+    """
+    import numpy as np
+
+    model = tiny_cnn(0, input_shape=LAYER_INPUT)
+    rng = np.random.default_rng(0)
+    cur = rng.random((LAYER_BATCH,) + LAYER_INPUT)
+    cases = []
+    for layer in model.layers:
+        out, saved = layer.forward(model.params, cur)
+        gy = rng.standard_normal(out.shape)
+        cases.append((layer, cur, saved, gy, frozenset(layer.param_names())))
+        cur = out
+    times = {layer.name: ([], []) for layer, *_ in cases}
+    for _ in range(repeats):
+        for layer, x, saved, gy, names in cases:
+            fwd, bwd = times[layer.name]
+            start = time.perf_counter()
+            layer.forward(model.params, x)
+            fwd.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            layer.backward(model.params, saved, gy, names)
+            bwd.append(time.perf_counter() - start)
+    return [(name, statistics.median(f), statistics.median(b)) for name, (f, b) in times.items()]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (1, 2):
@@ -67,7 +105,7 @@ def main(argv=None) -> int:
     from fracmap.attack import AttackConfig, adv_accuracy
     from fracmap.cli import main as cli
     from fracmap.coverage import coverage_table
-    from fracmap.model import load_model
+    from fracmap.model import load_model, tiny_cnn
     from fracmap.synth import load_dataset
 
     with tempfile.TemporaryDirectory(prefix="stage-times-") as tmp:
@@ -96,6 +134,10 @@ def main(argv=None) -> int:
             f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
             f"{faults:g} minor faults per run (median) over {repeats} runs"
         )
+    print(f"tiny_cnn layers at batch {LAYER_BATCH}, {LAYER_INPUT}: median ms over {repeats} rounds")
+    print("layer  forward  backward")
+    for name, fwd, bwd in _layer_times(tiny_cnn, repeats):
+        print(f"{name:<6} {1e3 * fwd:7.2f}  {1e3 * bwd:8.2f}")
     return 0
 
 
