@@ -15,11 +15,8 @@ Signed quantities back two exactness properties that tests lean on:
 * ``ig_attributions`` converge to F(x) - F(x_baseline) as steps grow
   (midpoint rule), and are exact for linear models at any step count.
 
-``occlusion`` evaluates its variants with ``forward_values(..., base=x)``:
-a patch changes only a band of rows, so the clean image's activations are
-reused outside the rows the band reaches. The scores are byte-identical to
-plain forward passes over every variant (the exactness rule is in
-``autodiff``).
+``occlusion`` evaluates its variants with ``forward_values(..., base=x)``,
+which recomputes only the box each patch reaches, byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from .pgm import to_bytes_gray, write_pgm
 from .tensor import Tensor
 
 __all__ = [
+    "MapError",
     "AttributionMap",
     "OcclusionConfig",
     "PathConfig",
@@ -51,7 +49,17 @@ __all__ = [
     "write_heatmap",
 ]
 
-MAP_BATCH = 64  # images per forward pass when a map needs many of them; a whole number of GEMM tiles
+MAP_BATCH = 64  # images per IG forward/backward pass; a whole number of GEMM tiles
+# Most occlusion variants per forward pass: an 8x8/stride-4 map of a 64x64
+# image (232 rows with its padding) takes one pass, and a stride-1 map stays
+# bounded.
+OCCLUSION_BATCH = 256
+
+
+class MapError(ValueError):
+    """A map that cannot be made or ranked: a patch larger than the image, a
+    non-finite or non-2-D grid, or a constant map. A coverage cell reports it
+    as ``N/A``."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,9 @@ class AttributionMap:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
-            raise ValueError(f"attribution map must be 2-D, got shape {arr.shape}")
+            raise MapError(f"attribution map must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("attribution map contains non-finite scores")
+            raise MapError("attribution map contains non-finite scores")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -135,7 +143,7 @@ def saliency(model, x: Tensor, c: int) -> AttributionMap:
 def _occlusion_grid(shape, cfg: OcclusionConfig):
     _, h, w = shape
     if cfg.patch_h > h or cfg.patch_w > w:
-        raise ValueError(
+        raise MapError(
             f"occlusion patch {cfg.patch_h}x{cfg.patch_w} larger than image {h}x{w}"
         )
     rows = range(0, h - cfg.patch_h + 1, cfg.stride_h)
@@ -168,29 +176,27 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
 
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
-    Variants are evaluated MAP_BATCH at a time against ``x`` as the base, so
-    only the rows a patch reaches are recomputed. Copies of ``x`` pad the
-    variants to whole GEMM tiles, at least one of them, and the clean logit
-    is read from the last: every row then lies in a full tile of the same
-    BLAS kernels, so a patch that changes no pixel scores exactly 0.
+    Variants go through ``forward_values(..., base=x)``, so only the box a
+    patch reaches is recomputed, in as few passes of at most OCCLUSION_BATCH
+    rows as hold them. Copies of ``x`` pad the variants, at least one of
+    them, so that every pass has the same whole number of GEMM tiles, and
+    the clean logit is read from the last copy. Every row then comes from a
+    full tile of a GEMM of one size (BLAS picks its kernel by both), so a
+    patch that changes no pixel scores exactly 0.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
-    channels = range(x.shape[0]) if cfg.per_channel else [None]
-
-    variants = []
-    for i, j in positions:
-        for ch in channels:
-            occ = x.array.copy()
-            sel = slice(None) if ch is None else ch
-            occ[sel, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
-            variants.append(occ)
-    n = len(variants)
-    variants += [x.array] * (round_up_to_tile(n + 1) - n)
-    logits = np.empty(len(variants))
-    for start in range(0, len(variants), MAP_BATCH):
-        chunk = np.stack(variants[start : start + MAP_BATCH])
-        logits[start : start + len(chunk)] = forward_values(model, chunk, base=x.array)[:, c]
+    channels = range(x.shape[0]) if cfg.per_channel else [slice(None)]
+    cells = [(i, j, ch) for i, j in positions for ch in channels]
+    n = len(cells)
+    n_chunks = -(-(n + 1) // OCCLUSION_BATCH)
+    size = round_up_to_tile(-(-(n + 1) // n_chunks))
+    logits = np.empty(n_chunks * size)
+    for start in range(0, len(logits), size):
+        chunk = np.repeat(x.array[None], size, axis=0)
+        for occ, (i, j, ch) in zip(chunk, cells[start : start + size]):
+            occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
+        logits[start : start + size] = forward_values(model, chunk, base=x.array)[:, c]
     drops = logits[-1] - logits[:n]
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 

@@ -11,16 +11,13 @@ Layers compute over a leading batch axis; the batched entry points
 (``forward_batch`` / ``backward_batch``) expose that directly for training
 and attack loops, while the single-image API wraps a batch of one.
 
-``forward_values(model, xb, base=b)`` evaluates images that differ from one
-image ``b`` in a few rows, as occlusion variants do. Over the model's
-row-local prefix (``Standardize``, ``ReLU``, ``MaxPool2`` and stride-1
-``Conv2d``) it recomputes only the rows that the differences reach, from a
-crop of ``b``'s activations with the changed rows spliced in; every other
-row is ``b``'s, computed once per call. The rest of the model runs over the
-whole batch, as in a plain call. The result is byte-identical to
-``forward_values(model, xb)``: each prefix layer computes an output row
-from its input rows alone, elementwise or, for a ``Conv2d``, in a GEMM
-column that BLAS computes with its full-tile kernel wherever the band lies.
+``forward_values(model, xb, base=b)`` evaluates images that each differ
+from one image ``b`` inside a small box, as occlusion variants do. Through
+the model's local prefix (``Standardize``, ``ReLU``, ``MaxPool2`` and
+stride-1 ``Conv2d``), each changed image carries only the box its change
+reaches, one box size for all images and at its own offset; every other
+pixel is ``b``'s, computed once per call. The result has the bytes of
+``forward_values(model, xb)`` (README, "Speed and exactness").
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -112,9 +109,9 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
     """Tape-free forward pass over a raw array; accepts one image or a batch.
 
     With ``base``, one image of the model's input shape, each image is
-    evaluated as ``base`` with the rows where it differs spliced in, reusing
-    ``base``'s activations outside them (see the module docstring); the
-    result has the same bytes as without ``base``.
+    evaluated as ``base`` with the box where it differs spliced in, reusing
+    ``base``'s activations outside what the box reaches (see the module
+    docstring); the result has the same bytes as without ``base``.
     """
     x_array = np.asarray(x_array, dtype=np.float64)
     single = x_array.ndim == 3
@@ -132,63 +129,84 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
     return out[0] if single else out
 
 
-def _row_local_prefix(model) -> int:
-    """How many leading layers compute each output row exactly from a crop of input rows."""
+def _local_prefix(model) -> int:
+    """How many leading layers compute each output pixel exactly from a window of input pixels."""
     for k, layer in enumerate(model.layers):
         if layer.kind not in ("standardize", "relu", "maxpool2", "conv2d"):
             return k
     return len(model.layers)
 
 
-def _band_rows(layer, a: int, b: int, h: int):
-    """For input rows [a, b) of an h-row input: the output rows [oa, ob) they
-    reach, the input rows [lo, hi) those need, and the rows of a forward over
-    that crop that are output rows [oa, ob)."""
+def _reach(layer, axis, p, size, n):
+    """For a Conv2d or MaxPool2 layer, along one spatial axis (0 rows, 1
+    columns) of an n-long input, and bands [p, p + size), one start per
+    image: returns (q, out, s, win, off), the output bands [q, q + out) they
+    reach, the input windows [s, s + win) those need, and where each output
+    band starts in a forward over its window. Each size is the largest any
+    image needs, and each band or window is clamped inside its plane."""
     if layer.kind == "conv2d":
-        ph, _ = layer._pads()
-        kh = layer.kernel_h
-        oa, ob = max(0, a + ph - kh + 1), min(h + 2 * ph - kh + 1, b + ph)
-        lo, hi = max(0, oa - ph), min(h, ob - ph + kh - 1)
-        first = lo  # a crop's output row k is output row lo + k
-    elif layer.kind == "maxpool2":
-        oa, ob = a // 2, (b + 1) // 2
-        lo, hi = 2 * oa, 2 * ob
-        first = oa
-    else:
-        oa, ob, lo, hi, first = a, b, a, b, a
-    return oa, ob, lo, hi, slice(oa - first, ob - first)
+        pad, k = layer._pads()[axis], (layer.kernel_h, layer.kernel_w)[axis]
+        m = n + 2 * pad - k + 1
+        oa, ob = np.maximum(0, p + pad - k + 1), np.minimum(m, p + size + pad)
+        out = int(np.max(ob - oa))
+        q = np.minimum(oa, m - out)
+        lo, hi = np.maximum(0, q - pad), np.minimum(n, q + out - pad + k - 1)
+        win = int(np.max(hi - lo))
+        s = np.minimum(lo, n - win)
+        return q, out, s, win, q - s  # a window's output j is output s + j
+    oa, ob = p // 2, (p + size + 1) // 2
+    out = int(np.max(ob - oa))
+    q = np.minimum(oa, n // 2 - out)
+    return q, out, 2 * q, 2 * out, 0
+
+
+def _gather(a, size, images, rows, cols):
+    """One array of the boxes a[images[j], :, rows[j]:rows[j] + size[0],
+    cols[j]:cols[j] + size[1]], one per j."""
+    return np.lib.stride_tricks.sliding_window_view(a, size, axis=(2, 3))[images, :, rows, cols]
+
+
+def _paste(a, boxes, images, rows, cols):
+    """Write box j of ``boxes`` into ``a`` where ``_gather`` would read it."""
+    view = np.lib.stride_tricks.sliding_window_view(a, boxes.shape[2:], axis=(2, 3), writeable=True)
+    view[images, :, rows, cols] = boxes
 
 
 def _forward_from_base(model, xb, base):
-    """``forward_values`` with ``base``: images with the same changed-row range
-    go through the row-local prefix together, as bands; then the bands are
-    spliced into copies of ``base``'s activations and the rest of the model
-    runs over the whole batch at once."""
-    n_prefix = _row_local_prefix(model)
+    """``forward_values`` with ``base``: each changed image carries a box of
+    one size for all, at its own offset, through the local prefix; then the
+    boxes are spliced into copies of ``base``'s activations and the rest of
+    the model runs over the whole batch at once."""
+    n_prefix = _local_prefix(model)
     acts = [base[None]]  # base's activation at the input of each prefix layer, then after
     for layer in model.layers[:n_prefix]:
         acts.append(layer.forward(model.params, acts[-1])[0])
-    # Compare bytes, so that -0.0 against +0.0 counts as a change.
-    changed = np.any(xb.view(np.uint64) != base.view(np.uint64), axis=(1, 3))
-    groups = {}
-    for i, rows in enumerate(changed):
-        hit = np.flatnonzero(rows)
-        if hit.size:
-            groups.setdefault((int(hit[0]), int(hit[-1]) + 1), []).append(i)
     cur = np.repeat(acts[-1], len(xb), axis=0)
-    for (a, b), idx in groups.items():
-        band = xb[idx, :, a:b]
+    # Compare bytes, so that -0.0 against +0.0 counts as a change.
+    changed = xb.view(np.uint64) != base.view(np.uint64)
+    rows, cols = np.any(changed, axis=(1, 3)), np.any(changed, axis=(1, 2))
+    idx = np.flatnonzero(rows.any(axis=1))
+    if idx.size:
+        bands = []  # per axis: the start of each changed image's box, and its size
+        for hit in (rows[idx], cols[idx]):
+            a = np.argmax(hit, axis=1)
+            size = int(np.max(hit.shape[1] - np.argmax(hit[:, ::-1], axis=1) - a))
+            bands.append((np.minimum(a, hit.shape[1] - size), size))
+        (pr, br), (pc, bc) = bands
+        band = _gather(xb, (br, bc), idx, pr, pc)
+        images = np.arange(idx.size)
         for layer, act in zip(model.layers[:n_prefix], acts):
-            oa, ob, lo, hi, keep = _band_rows(layer, a, b, act.shape[2])
-            if (lo, hi) != (a, b):
-                crop = np.repeat(act[:, :, lo:hi], len(idx), axis=0)
-                crop[:, :, a - lo : b - lo] = band
-                band = crop
-            band = layer.forward(model.params, band)[0][:, :, keep]
-            a, b = oa, ob
-        cur[idx, :, a:b] = band
-    out, _ = _run_forward(model, cur, record=False, start=n_prefix)
-    return out
+            if layer.kind in ("conv2d", "maxpool2"):
+                qr, oh, sr, wh, kr = _reach(layer, 0, pr, br, act.shape[2])
+                qc, ow, sc, ww, kc = _reach(layer, 1, pc, bc, act.shape[3])
+                win = _gather(act, (wh, ww), np.zeros_like(images), sr, sc)
+                _paste(win, band, images, pr - sr, pc - sc)
+                band = _gather(layer.forward(model.params, win)[0], (oh, ow), images, kr, kc)
+                pr, br, pc, bc = qr, oh, qc, ow
+            else:
+                band = layer.forward(model.params, band)[0]
+        _paste(cur, band, idx, pr, pc)
+    return _run_forward(model, cur, record=False, start=n_prefix)[0]
 
 
 def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):

@@ -254,6 +254,15 @@ class _RunStatus:
         return False
 
 
+def _attack_digest(atk: AttackConfig) -> str:
+    """The attack's fields for a config digest; the random start and its seed
+    appear only when the start is used, so other digests keep their bytes."""
+    digest = f"pgd_eps={atk.epsilon!r};pgd_step={atk.step_size!r};pgd_iters={atk.iters}"
+    if atk.random_start:
+        digest += f";pgd_random_start=1;pgd_seed={atk.seed}"
+    return digest
+
+
 def _train_digest(cfg: TrainConfig, atk: AttackConfig | None, init_name: str | None) -> str:
     parts = [
         f"train;epochs={cfg.epochs};lr={cfg.learning_rate!r};batch={cfg.batch_size}",
@@ -262,7 +271,7 @@ def _train_digest(cfg: TrainConfig, atk: AttackConfig | None, init_name: str | N
     # A zero-radius attack is the identity, so the effective procedure (and
     # therefore the digest and the weight bytes) match standard training.
     if atk is not None and atk.epsilon > 0:
-        parts.append(f"pgd_eps={atk.epsilon!r};pgd_step={atk.step_size!r};pgd_iters={atk.iters}")
+        parts.append(_attack_digest(atk))
     if init_name:
         parts.append(f"init={init_name}")
     return ";".join(parts)
@@ -336,10 +345,7 @@ def cmd_attack(args) -> int:
             [f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}" for r in ranked],
             {
                 "seed": rm.seed,
-                "config": (
-                    f"pgd_eps={atk.epsilon!r};pgd_step={atk.step_size!r};"
-                    f"pgd_iters={atk.iters};split={split}"
-                ),
+                "config": f"{_attack_digest(atk)};split={split}",
             },
         )
     print(f"wrote {out_path}")

@@ -20,11 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .attribution import METHODS, AttributionMap, OcclusionConfig, PathConfig
-from .autodiff import TapeError
-from .layers import LayerShapeError
-from .model import ModelError
-from .tensor import Tensor, TensorError
+from .attribution import METHODS, AttributionMap, MapError, OcclusionConfig, PathConfig
+from .tensor import Tensor
 
 __all__ = [
     "BinaryMask",
@@ -198,12 +195,12 @@ def coverage_table(
     Every map explains the ``fractured`` class (class 0 if the dataset has
     none). Aggregation runs over the annotated images of ``split``
     (unweighted mean of per-image ratios, reported in percent). The row set
-    is complete: a cell whose maps cannot be computed (a map-level
-    ``ValueError`` such as a patch larger than the image) becomes ``N/A``
-    with the failure reason rather than being skipped. A map whose values
-    are all equal ranks no pixel above another, so it makes the cell
+    is complete: a cell whose maps cannot be computed (an
+    ``attribution.MapError`` such as a patch larger than the image) becomes
+    ``N/A`` with the failure reason rather than being skipped. A map whose
+    values are all equal ranks no pixel above another, so it makes the cell
     ``N/A:constant map for <image id>`` instead of a mask that keeps every
-    pixel. Errors that mean the model, tensors or tape are misused propagate.
+    pixel. Every other error propagates.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
@@ -234,16 +231,13 @@ def coverage_table(
                         model, ds.images[i], target_class, occ_cfg, path_cfg, ref
                     )
                     if amap.values.min() == amap.values.max():
-                        raise ValueError(f"constant map for {ds.ids[i]}")
-                    entry = ann.get(ds.ids[i])
-                    for nu in percentiles:
-                        mask = threshold_mask(amap, nu)
-                        ratios[nu].append(point_coverage(mask, entry))
-                except (ModelError, LayerShapeError, TensorError, TapeError):
-                    raise
-                except ValueError as exc:
+                        raise MapError(f"constant map for {ds.ids[i]}")
+                except MapError as exc:
                     failure = str(exc)
                     break
+                entry = ann.get(ds.ids[i])
+                for nu in percentiles:
+                    ratios[nu].append(point_coverage(threshold_mask(amap, nu), entry))
             for nu in percentiles:
                 if failure is not None:
                     rows.append(CoverageRow(model_id, method, float(nu), None, failure))

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from fracmap.attribution import (
     MAP_BATCH,
     METHODS,
+    OCCLUSION_BATCH,
     AttributionMap,
+    MapError,
     OcclusionConfig,
     PathConfig,
     deeplift,
@@ -44,6 +46,25 @@ def test_every_method_rejects_a_class_index_out_of_range(method, c):
     zero = zeros_like_input(m)
     with pytest.raises(ValueError, match="class index"):
         METHODS[method](m, rand_image(1, m.input_shape), c, OcclusionConfig(), PathConfig(zero), zero)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AttributionMap(np.zeros(3), "m", 0, ""),
+        lambda: AttributionMap(np.array([[0.0, np.inf]]), "m", 0, ""),
+        lambda: occlusion(
+            linear_model(np.zeros((2, 16)), (1, 4, 4)),
+            rand_image(6, (1, 4, 4)),
+            0,
+            OcclusionConfig(patch_h=5, patch_w=5),
+        ),
+    ],
+    ids=["not_2d", "non_finite", "patch_larger_than_image"],
+)
+def test_documented_map_failures_raise_map_error(make):
+    with pytest.raises(MapError):
+        make()
 
 
 class TestSaliency:
@@ -131,6 +152,34 @@ class TestOcclusion:
         scores = (logits[-1] - logits[:n]).reshape(len(positions), -1).sum(axis=1)
         expect = _upsample_covering(x.shape, positions, scores, cfg)
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
+
+    def test_stride_one_map_runs_in_bounded_chunks_and_equals_plain_passes(self, monkeypatch):
+        # A 2x2 patch at stride 1 on 64x64: 3,969 variants, in 16 chunks of
+        # 256 rows with 127 clean copies. The head has 2,048 features, so a
+        # 256-row and a 136-row head GEMM take different BLAS kernels, and a
+        # short last chunk would keep the unchanged patch at (0, 0) from
+        # scoring exactly 0.
+        m = random_cnn(seed=12, input_shape=(1, 64, 64), channels=(4, 8))
+        img = rand_image(12, (1, 64, 64)).array.copy()
+        img[:, :2, :2] = 0.0
+        x = Tensor(img)
+        cfg = OcclusionConfig(patch_h=2, patch_w=2, stride_h=1, stride_w=1)
+        positions = _occlusion_grid(x.shape, cfg)
+        assert len(positions) == 3969
+        chunks = []
+
+        def recorded(model, xb, **kwargs):
+            chunks.append(xb.copy())
+            return forward_values(model, xb, **kwargs)
+
+        monkeypatch.setattr("fracmap.attribution.forward_values", recorded)
+        amap = occlusion(m, x, 0, cfg)
+        assert [len(xb) for xb in chunks] == [OCCLUSION_BATCH] * 16
+        assert amap.values[0, 0] == 0.0
+        # The plain-pass oracle: every chunk evaluated without a base.
+        logits = np.concatenate([forward_values(m, xb)[:, 0] for xb in chunks])
+        scores = logits[-1] - logits[: len(positions)]
+        assert amap.values.tobytes() == _upsample_covering(x.shape, positions, scores, cfg).tobytes()
 
     @pytest.mark.parametrize("channels, per_channel", [(1, False), (3, False), (3, True)])
     def test_patch_that_changes_no_pixel_scores_exactly_zero(self, channels, per_channel):

@@ -234,8 +234,59 @@ def patch_variants(x, patch, stride, per_channel=False):
     return np.stack(out)
 
 
+def _plane_fits(n, n_conv, padding, pool):
+    """Whether an n-pixel side survives random_cnn's convs and pools."""
+    for _ in range(n_conv):
+        n -= 2 if padding == "valid" else 0
+        if n < 1 or (pool and n % 2):
+            return False
+        n //= 2 if pool else 1
+    return True
+
+
+@st.composite
+def base_and_variants(draw):
+    """A random_cnn, a base image with a +0.0 block, and a batch of variants
+    that each write up to two disjoint boxes (edge and corner boxes, +0.0 and
+    -0.0 included) into it, or leave it unchanged."""
+    padding = draw(st.sampled_from(["same", "valid"]))
+    pool, n_conv = draw(st.booleans()), draw(st.integers(1, 2))
+    sides = [n for n in range(8, 31) if _plane_fits(n, n_conv, padding, pool)]
+    c, h, w = draw(st.integers(1, 3)), draw(st.sampled_from(sides)), draw(st.sampled_from(sides))
+    widths = draw(st.lists(st.integers(1, 5), min_size=n_conv, max_size=n_conv))
+    model = random_cnn(
+        seed=draw(st.integers(0, 2**16)),
+        input_shape=(c, h, w),
+        channels=tuple(widths),
+        pool=pool,
+        padding=padding,
+        head=draw(st.sampled_from(["flatten", "gap"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    base = rng.random((c, h, w))
+    base[:, : h // 2, : w // 3] = 0.0
+
+    def box(n):
+        a = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+        return a, draw(st.one_of(st.just(n), st.integers(a + 1, n)))
+
+    variants = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = base.copy()
+        boxes = []
+        for _ in range(draw(st.integers(0, 2))):
+            (r0, r1), (c0, c1) = box(h), box(w)
+            if all(r1 <= a or b <= r0 or c1 <= p or q <= c0 for a, b, p, q in boxes):
+                boxes.append((r0, r1, c0, c1))
+                value = draw(st.sampled_from([0.0, -0.0, 0.25, 1.0, None]))
+                fill = rng.random((c, r1 - r0, c1 - c0)) if value is None else value
+                v[:, r0:r1, c0:c1] = fill
+        variants.append(v)
+    return model, base, np.stack(variants)
+
+
 class TestForwardFromBase:
-    """``forward_values(..., base=)`` reuses the base image's rows without changing a byte."""
+    """``forward_values(..., base=)`` reuses the base image's activations without changing a byte."""
 
     @pytest.mark.parametrize(
         "model, patch, stride, per_channel",
@@ -261,6 +312,12 @@ class TestForwardFromBase:
         assert forward_values(model, xb, base=x).tobytes() == plain.tobytes()
         single = forward_values(model, xb[1])
         assert forward_values(model, xb[1], base=x).tobytes() == single.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=base_and_variants())
+    def test_bytes_equal_a_plain_pass_on_random_boxes(self, case):
+        model, base, xb = case
+        assert forward_values(model, xb, base=base).tobytes() == forward_values(model, xb).tobytes()
 
     def test_base_of_the_wrong_shape_rejected(self):
         model = tiny_cnn(1, input_shape=(1, 32, 32))

@@ -251,6 +251,28 @@ class TestAttack:
         assert clean == adv
         assert delta == "0.00"
 
+    def test_random_start_and_its_seed_reach_the_provenance(self, workspace, tmp_path):
+        # Two manifests that differ only in random_start give different
+        # meta.config and "# config=" lines; without it both read as before.
+        configs = {}
+        for start in (False, True):
+            manifest = json.loads((workspace / "rm.json").read_text())
+            manifest["dataset"] = str(workspace / "data" / "dataset.txt")
+            manifest["train"]["epochs"] = 1
+            manifest["attack"]["random_start"] = manifest["train_attack"]["random_start"] = start
+            rm = tmp_path / f"rm_{start}.json"
+            rm.write_text(json.dumps(manifest))
+            model, out = tmp_path / f"adv_{start}.mwf", tmp_path / f"rob_{start}.csv"
+            assert main(["train", "--manifest", str(rm), "--mode", "adversarial", "--out", str(model)]) == 0
+            assert main(["attack", "--manifest", str(rm), "--models", str(model), "--out", str(out)]) == 0
+            config_line = [l for l in out.read_text().splitlines() if l.startswith("# config=")]
+            configs[start] = (load_model(model)[1]["config"], config_line)
+        assert configs[False][0] != configs[True][0]
+        assert configs[False][1] != configs[True][1]
+        assert "pgd_random_start" not in configs[False][0] + configs[False][1][0]
+        assert configs[True][0].endswith(f"pgd_iters=2;pgd_random_start=1;pgd_seed={SEED}")
+        assert configs[True][1][0].endswith(f"pgd_random_start=1;pgd_seed={SEED};split=test")
+
     def test_unloadable_model_fails(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.mwf"
         bad.write_bytes(b"XXXX....")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmap.attribution import AttributionMap, OcclusionConfig, normalize
+from fracmap.attribution import AttributionMap, MapError, OcclusionConfig, normalize
 from fracmap.coverage import (
     AnnotationEntry,
     AnnotationSet,
@@ -231,6 +231,18 @@ class TestCoverageTable:
         ann = AnnotationSet(entries={"img_9999": ((1, 1),)})
         with pytest.raises(ValueError, match="img_9999"):
             coverage_table({"m": model}, ["saliency"], [15], ds, ann)
+
+    def test_a_plain_value_error_inside_a_map_propagates(self, table_setup, monkeypatch):
+        # numpy's broadcast errors are ValueErrors: only a MapError may read as N/A.
+        ds, model = table_setup
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("fracmap.attribution.forward_values", broken)
+        with pytest.raises(ValueError, match="broadcast") as info:
+            coverage_table({"m": model}, ["occlusion"], [85], ds, ds.annotations)
+        assert not isinstance(info.value, MapError)
 
     @pytest.mark.parametrize("method", ["saliency", "occlusion", "deeplift", "integrated_gradients"])
     def test_dead_model_cell_is_na_not_full_coverage(self, table_setup, method):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall time of the pipeline stages that no perfbench workload times.
 
-    python3 tools/stage_times.py TREE [REPEATS]   (about 10 s on a 2-vCPU host)
+    python3 tools/stage_times.py TREE [REPEATS]   (about 30 s on a 2-vCPU host)
 
 Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
 corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
@@ -16,6 +16,14 @@ delta), which shows allocation churn without a tracer:
   0/15/75/85/95, over the annotated test images;
 * ``adv_accuracy``: PGD-10 (epsilon 0.0157, step 0.0039) on the test
   split, for both models.
+
+Then it prints the median milliseconds per image of each attribution
+method (saliency, occlusion 8x8 at stride 4, DeepLIFT from a zero image
+and IG-20 from a zero image) on the first 8 annotated images of a 64x64
+corpus from seed 5, the size the pipeline's maps are made at, explaining
+``fractured`` with an untrained ``tiny_cnn(5)``: each method's arithmetic
+does not depend on the weights' values. The methods take turns, one image
+each, REPEATS rounds over the images.
 
 Last it prints a per-layer table: the median forward and backward time
 of every ``tiny_cnn(0)`` layer on one batch of 32 uniform 64x64 images
@@ -49,6 +57,7 @@ PERCENTILES = (0.0, 15.0, 75.0, 85.0, 95.0)
 METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
 LAYER_BATCH = 32
 LAYER_INPUT = (1, 64, 64)
+MAP_IMAGES = 8
 
 
 def _timed(fn, repeats):
@@ -93,6 +102,32 @@ def _layer_times(tiny_cnn, repeats):
     return [(name, statistics.median(f), statistics.median(b)) for name, (f, b) in times.items()]
 
 
+def _map_times(repeats):
+    """Median ms per image of each attribution method on 64x64 annotated images."""
+    import numpy as np
+
+    from fracmap.attribution import METHODS as BUILDERS
+    from fracmap.attribution import OcclusionConfig, PathConfig
+    from fracmap.model import tiny_cnn
+    from fracmap.synth import generate_dataset
+    from fracmap.tensor import Tensor
+
+    ds = generate_dataset(5, 4 * MAP_IMAGES)
+    images = [x for x, image_id in zip(ds.images, ds.ids) if image_id in ds.annotations]
+    model = tiny_cnn(5, input_shape=ds.image_shape)
+    zero = Tensor(np.zeros(ds.image_shape))
+    args = (OcclusionConfig(), PathConfig(baseline=zero), zero)
+    c = ds.class_names.index("fractured")
+    times = {method: [] for method in METHODS}
+    for _ in range(repeats):
+        for x in images[:MAP_IMAGES]:
+            for method, ms in times.items():
+                start = time.perf_counter()
+                BUILDERS[method](model, x, c, *args)
+                ms.append(1e3 * (time.perf_counter() - start))
+    return {method: statistics.median(ms) for method, ms in times.items()}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (1, 2):
@@ -134,6 +169,9 @@ def main(argv=None) -> int:
             f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
             f"{faults:g} minor faults per run (median) over {repeats} runs"
         )
+    print(f"attribution maps on {MAP_IMAGES} annotated 64x64 images: median ms per image")
+    for method, ms in _map_times(repeats).items():
+        print(f"{method:<20} {ms:7.2f}")
     print(f"tiny_cnn layers at batch {LAYER_BATCH}, {LAYER_INPUT}: median ms over {repeats} rounds")
     print("layer  forward  backward")
     for name, fwd, bwd in _layer_times(tiny_cnn, repeats):
