@@ -151,15 +151,20 @@ def _occlusion_grid(shape, cfg: OcclusionConfig):
     return [(i, j) for i in rows for j in cols]
 
 
-def _upsample_covering(shape, positions, scores, cfg: OcclusionConfig) -> np.ndarray:
+def _upsample_covering(shape, scores, cfg: OcclusionConfig) -> np.ndarray:
     # Each pixel gets the mean score of every patch position covering it;
-    # pixels no patch reaches (stride gaps at the far edges) stay 0.
+    # pixels no patch reaches (stride gaps at the far edges) stay 0. The
+    # pixels of every patch cell are listed in row-major position order,
+    # and a weighted bincount adds each bin's weights in list order from
+    # 0.0, so a pixel sums its covering scores as a loop over the positions
+    # would.
     _, h, w = shape
-    total = np.zeros((h, w))
-    count = np.zeros((h, w))
-    for (i, j), s in zip(positions, scores):
-        total[i : i + cfg.patch_h, j : j + cfg.patch_w] += s
-        count[i : i + cfg.patch_h, j : j + cfg.patch_w] += 1.0
+    rows = np.arange(0, h - cfg.patch_h + 1, cfg.stride_h)[:, None] + np.arange(cfg.patch_h)
+    cols = np.arange(0, w - cfg.patch_w + 1, cfg.stride_w)[:, None] + np.arange(cfg.patch_w)
+    pixels = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(-1)
+    weights = np.repeat(scores, cfg.patch_h * cfg.patch_w)
+    total = np.bincount(pixels, weights, minlength=h * w).reshape(h, w)
+    count = np.bincount(pixels, minlength=h * w).reshape(h, w)
     return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
@@ -201,7 +206,7 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(
-        values=_upsample_covering(x.shape, positions, scores, cfg),
+        values=_upsample_covering(x.shape, scores, cfg),
         method="occlusion",
         target_class=c,
         config_digest=_occlusion_digest(cfg, c),
@@ -225,7 +230,7 @@ def occlusion_linearized(model, x: Tensor, c: int, cfg: OcclusionConfig) -> Attr
     ]
     digest = _occlusion_digest(cfg, c).replace("method=occlusion", "method=occlusion_linearized")
     return AttributionMap(
-        values=_upsample_covering(x.shape, positions, scores, cfg),
+        values=_upsample_covering(x.shape, scores, cfg),
         method="occlusion_linearized",
         target_class=c,
         config_digest=digest,

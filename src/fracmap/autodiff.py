@@ -16,8 +16,11 @@ from one image ``b`` inside a small box, as occlusion variants do. Through
 the model's local prefix (``Standardize``, ``ReLU``, ``MaxPool2`` and
 stride-1 ``Conv2d``), each changed image carries only the box its change
 reaches, one box size for all images and at its own offset; every other
-pixel is ``b``'s, computed once per call. The result has the bytes of
-``forward_values(model, xb)`` (README, "Speed and exactness").
+pixel is ``b``'s, computed once per call. A conv computes exactly its output
+box: it runs unpadded over a window of ``out + k - 1`` cells per axis, cut
+from ``b``'s zero-padded input to it with the incoming box pasted in. The
+result has the bytes of ``forward_values(model, xb)`` (README, "Speed and
+exactness").
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -25,7 +28,7 @@ validate the reverse pass; it shares only the forward evaluator with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,27 +140,20 @@ def _local_prefix(model) -> int:
     return len(model.layers)
 
 
-def _reach(layer, axis, p, size, n):
-    """For a Conv2d or MaxPool2 layer, along one spatial axis (0 rows, 1
-    columns) of an n-long input, and bands [p, p + size), one start per
-    image: returns (q, out, s, win, off), the output bands [q, q + out) they
-    reach, the input windows [s, s + win) those need, and where each output
-    band starts in a forward over its window. Each size is the largest any
-    image needs, and each band or window is clamped inside its plane."""
-    if layer.kind == "conv2d":
-        pad, k = layer._pads()[axis], (layer.kernel_h, layer.kernel_w)[axis]
-        m = n + 2 * pad - k + 1
-        oa, ob = np.maximum(0, p + pad - k + 1), np.minimum(m, p + size + pad)
-        out = int(np.max(ob - oa))
-        q = np.minimum(oa, m - out)
-        lo, hi = np.maximum(0, q - pad), np.minimum(n, q + out - pad + k - 1)
-        win = int(np.max(hi - lo))
-        s = np.minimum(lo, n - win)
-        return q, out, s, win, q - s  # a window's output j is output s + j
-    oa, ob = p // 2, (p + size + 1) // 2
+def _reach(k, st, p, size, n):
+    """For a layer that maps k-wide input windows at stride st to outputs
+    (a conv, over its input zero-padded as it pads it, or a max pool), along
+    one spatial axis of that n-long input, and bands [p, p + size) of it,
+    one start per image: returns (q, out, win), the output bands
+    [q, q + out) they reach and the size of the input windows
+    [st * q, st * q + win) those need. Each size is the largest any image
+    needs and each output band is clamped inside its plane, so every window
+    lies inside the input, and the layer run unpadded over it gives exactly
+    its band."""
+    m = (n - k) // st + 1
+    oa, ob = np.maximum(0, -((k - 1 - p) // st)), np.minimum(m, -(-(p + size) // st))
     out = int(np.max(ob - oa))
-    q = np.minimum(oa, n // 2 - out)
-    return q, out, 2 * q, 2 * out, 0
+    return np.minimum(oa, m - out), out, (out - 1) * st + k
 
 
 def _gather(a, size, images, rows, cols):
@@ -178,10 +174,13 @@ def _forward_from_base(model, xb, base):
     boxes are spliced into copies of ``base``'s activations and the rest of
     the model runs over the whole batch at once."""
     n_prefix = _local_prefix(model)
-    acts = [base[None]]  # base's activation at the input of each prefix layer, then after
+    acts = []  # base's input to each prefix layer, a conv's zero-padded as its forward saves it
+    cur = base[None]
     for layer in model.layers[:n_prefix]:
-        acts.append(layer.forward(model.params, acts[-1])[0])
-    cur = np.repeat(acts[-1], len(xb), axis=0)
+        out, saved = layer.forward(model.params, cur)
+        acts.append(saved["xp"] if layer.kind == "conv2d" else cur)
+        cur = out
+    cur = np.repeat(cur, len(xb), axis=0)
     # Compare bytes, so that -0.0 against +0.0 counts as a change.
     changed = xb.view(np.uint64) != base.view(np.uint64)
     rows, cols = np.any(changed, axis=(1, 3)), np.any(changed, axis=(1, 2))
@@ -196,15 +195,20 @@ def _forward_from_base(model, xb, base):
         band = _gather(xb, (br, bc), idx, pr, pc)
         images = np.arange(idx.size)
         for layer, act in zip(model.layers[:n_prefix], acts):
-            if layer.kind in ("conv2d", "maxpool2"):
-                qr, oh, sr, wh, kr = _reach(layer, 0, pr, br, act.shape[2])
-                qc, ow, sc, ww, kc = _reach(layer, 1, pc, bc, act.shape[3])
-                win = _gather(act, (wh, ww), np.zeros_like(images), sr, sc)
-                _paste(win, band, images, pr - sr, pc - sc)
-                band = _gather(layer.forward(model.params, win)[0], (oh, ow), images, kr, kc)
-                pr, br, pc, bc = qr, oh, qc, ow
+            if layer.kind == "conv2d":
+                (dr, dc), (kr, kc), st = layer._pads(), (layer.kernel_h, layer.kernel_w), 1
+                layer = replace(layer, padding="valid")
+            elif layer.kind == "maxpool2":
+                (dr, dc), (kr, kc), st = (0, 0), (2, 2), 2
             else:
                 band = layer.forward(model.params, band)[0]
+                continue
+            qr, oh, wh = _reach(kr, st, pr + dr, br, act.shape[2])
+            qc, ow, ww = _reach(kc, st, pc + dc, bc, act.shape[3])
+            win = _gather(act, (wh, ww), np.zeros_like(images), st * qr, st * qc)
+            _paste(win, band, images, pr + dr - st * qr, pc + dc - st * qc)
+            band = layer.forward(model.params, win)[0]
+            pr, br, pc, bc = qr, oh, qc, ow
         _paste(cur, band, idx, pr, pc)
     return _run_forward(model, cur, record=False, start=n_prefix)[0]
 

@@ -12,34 +12,9 @@ dataset or model, so a failure there is recorded too. Every artifact is
 written to a temporary file that replaces it only once complete
 (``atomic_open``), so a failure never leaves one half-written.
 
-Shared configuration comes from a JSON run manifest (``--manifest``); this
-example sets every key it accepts:
-
-    {
-      "seed": 42,
-      "dataset": "data/dataset.txt",
-      "train": {"epochs": 30, "learning_rate": 0.001, "batch_size": 32},
-      "attack": {"epsilon": 0.01568, "step_size": 0.00392, "iters": 10, "random_start": false},
-      "train_attack": {"epsilon": 0.01568, "step_size": 0.00784, "iters": 5,
-                       "random_start": false},
-      "occlusion": {"patch": [8, 8], "stride": [4, 4], "baseline_value": 0.0,
-                    "per_channel": false},
-      "integrated_gradients": {"n_steps": 20, "baseline": "zero"},
-      "deeplift": {"reference": "zero"},
-      "coverage": {"percentiles": [15, 75, 85, 95], "split": "test"}
-    }
-
-All keys are optional except ``dataset`` for the commands that read one;
-relative paths resolve against the manifest's directory. One table,
-``_SECTIONS``, gives each section's keys and their JSON types. A section's
-keys go by name to its config class (``TrainConfig``, ``AttackConfig``,
-``OcclusionConfig``, ``PathConfig``), so their defaults and range checks
-live there; a ``[h, w]`` pair fills the ``_h``/``_w`` fields. A wrong type,
-an unknown key inside a section or an out-of-range value raises
-``ManifestError`` naming the manifest and the ``section.key``; other
-top-level keys are ignored. A ``"mean"`` IG baseline
-or DeepLIFT reference is the per-channel train-split mean image;
-``attribute`` and ``coverage`` build the same maps from these settings.
+Shared configuration comes from a JSON run manifest (``--manifest``). The
+README ("Command-line pipeline") holds a complete example and the rules for
+its keys; ``_SECTIONS`` is their table in code.
 """
 
 from __future__ import annotations

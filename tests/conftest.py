@@ -36,30 +36,34 @@ def random_cnn(
     padding="same",
     head="flatten",
     n_classes=2,
+    kernels=None,
 ) -> Model:
-    """Small random CNN for gradient checks; weights U(-0.5, 0.5)."""
+    """Small random CNN for gradient checks; weights U(-0.5, 0.5).
+
+    ``kernels`` gives each conv's (kh, kw), 3x3 for every conv by default.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     c, h, w = input_shape
     layers = [Standardize(name="stdz", channels=c)]
     params = {"stdz.mean": np.full(c, 0.5), "stdz.std": np.full(c, 0.5)}
     trainable = {"stdz.mean": False, "stdz.std": False}
     prev = c
-    for i, ch in enumerate(channels):
+    for i, (ch, (kh, kw)) in enumerate(zip(channels, kernels or [(3, 3)] * len(channels))):
         layers.append(
             Conv2d(
                 name=f"conv{i}",
                 in_channels=prev,
                 out_channels=ch,
-                kernel_h=3,
-                kernel_w=3,
+                kernel_h=kh,
+                kernel_w=kw,
                 padding=padding,
             )
         )
-        params[f"conv{i}.weight"] = rng.uniform(-0.5, 0.5, (ch, prev, 3, 3))
+        params[f"conv{i}.weight"] = rng.uniform(-0.5, 0.5, (ch, prev, kh, kw))
         params[f"conv{i}.bias"] = rng.uniform(-0.5, 0.5, ch)
         layers.append(ReLU(name=f"relu{i}"))
         if padding == "valid":
-            h, w = h - 2, w - 2
+            h, w = h - kh + 1, w - kw + 1
         if pool:
             layers.append(MaxPool2(name=f"pool{i}"))
             h, w = h // 2, w // 2

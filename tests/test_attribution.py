@@ -39,6 +39,18 @@ def zeros_like_input(model):
     return Tensor(np.zeros(model.input_shape))
 
 
+def covering_average(shape, positions, scores, cfg):
+    """Reference covering average: each position's score added over its
+    patch in row-major position order, then divided by the covering count."""
+    _, h, w = shape
+    total = np.zeros((h, w))
+    count = np.zeros((h, w))
+    for (i, j), s in zip(positions, scores):
+        total[i : i + cfg.patch_h, j : j + cfg.patch_w] += s
+        count[i : i + cfg.patch_h, j : j + cfg.patch_w] += 1.0
+    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+
+
 @pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("c", [-1, 2])
 def test_every_method_rejects_a_class_index_out_of_range(method, c):
@@ -150,7 +162,7 @@ class TestOcclusion:
             chunk = np.stack(variants[start : start + MAP_BATCH])
             logits[start : start + len(chunk)] = forward_values(m, chunk)[:, 1]
         scores = (logits[-1] - logits[:n]).reshape(len(positions), -1).sum(axis=1)
-        expect = _upsample_covering(x.shape, positions, scores, cfg)
+        expect = covering_average(x.shape, positions, scores, cfg)
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
 
     def test_stride_one_map_runs_in_bounded_chunks_and_equals_plain_passes(self, monkeypatch):
@@ -179,7 +191,7 @@ class TestOcclusion:
         # The plain-pass oracle: every chunk evaluated without a base.
         logits = np.concatenate([forward_values(m, xb)[:, 0] for xb in chunks])
         scores = logits[-1] - logits[: len(positions)]
-        assert amap.values.tobytes() == _upsample_covering(x.shape, positions, scores, cfg).tobytes()
+        assert amap.values.tobytes() == covering_average(x.shape, positions, scores, cfg).tobytes()
 
     @pytest.mark.parametrize("channels, per_channel", [(1, False), (3, False), (3, True)])
     def test_patch_that_changes_no_pixel_scores_exactly_zero(self, channels, per_channel):
@@ -230,6 +242,51 @@ class TestOcclusion:
                 scores[(i, j)] = base - forward_values(m, occ)[0]
         assert np.isclose(amap.values[0, 0], scores[(0, 0)])
         assert np.isclose(amap.values[1, 1], np.mean(list(scores.values())))
+
+
+# On a 12x10 image: stride above the patch, stride 1, the patch equal to
+# the image, and a non-square patch.
+COVERING_CFGS = [
+    OcclusionConfig(patch_h=3, patch_w=3, stride_h=5, stride_w=4),
+    OcclusionConfig(patch_h=4, patch_w=4, stride_h=1, stride_w=1),
+    OcclusionConfig(patch_h=12, patch_w=10, stride_h=2, stride_w=3),
+    OcclusionConfig(patch_h=2, patch_w=5, stride_h=2, stride_w=3),
+]
+COVERING_IDS = ["gaps", "stride_1", "whole_image", "non_square"]
+
+
+class TestCoveringAverage:
+    """``_upsample_covering`` sums by bincount; the bytes are the position loop's."""
+
+    SHAPE = (1, 12, 10)
+
+    @pytest.mark.parametrize("cfg", COVERING_CFGS, ids=COVERING_IDS)
+    def test_equals_the_position_loop_on_random_grids(self, cfg):
+        positions = _occlusion_grid(self.SHAPE, cfg)
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            # Magnitudes from 1e-3 to 1e3, some exact zeros of either sign,
+            # so that a different summation order would show in the bytes.
+            scores = rng.normal(size=len(positions)) * 10.0 ** rng.integers(-3, 4, len(positions))
+            scores[rng.random(len(positions)) < 0.1] = rng.choice([0.0, -0.0])
+            expect = covering_average(self.SHAPE, positions, scores, cfg)
+            assert _upsample_covering(self.SHAPE, scores, cfg).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("cfg", COVERING_CFGS, ids=COVERING_IDS)
+    @pytest.mark.parametrize("method", [occlusion, occlusion_linearized])
+    def test_maps_equal_the_position_loop_over_their_scores(self, monkeypatch, method, cfg):
+        m = random_cnn(seed=31, input_shape=self.SHAPE, channels=(3,))
+        x = rand_image(31, self.SHAPE)
+        grids = []
+
+        def recorded(shape, scores, cfg):
+            grids.append(np.array(scores, dtype=np.float64))
+            return _upsample_covering(shape, scores, cfg)
+
+        monkeypatch.setattr("fracmap.attribution._upsample_covering", recorded)
+        amap = method(m, x, 1, cfg)
+        expect = covering_average(self.SHAPE, _occlusion_grid(self.SHAPE, cfg), grids[0], cfg)
+        assert amap.values.tobytes() == expect.tobytes()
 
 
 class TestOcclusionLinearized:

@@ -234,10 +234,11 @@ def patch_variants(x, patch, stride, per_channel=False):
     return np.stack(out)
 
 
-def _plane_fits(n, n_conv, padding, pool):
-    """Whether an n-pixel side survives random_cnn's convs and pools."""
-    for _ in range(n_conv):
-        n -= 2 if padding == "valid" else 0
+def _plane_fits(n, kernel_sizes, padding, pool):
+    """Whether an n-pixel side survives random_cnn's convs, with these kernel
+    sizes along it, and its pools."""
+    for k in kernel_sizes:
+        n -= k - 1 if padding == "valid" else 0
         if n < 1 or (pool and n % 2):
             return False
         n //= 2 if pool else 1
@@ -246,13 +247,19 @@ def _plane_fits(n, n_conv, padding, pool):
 
 @st.composite
 def base_and_variants(draw):
-    """A random_cnn, a base image with a +0.0 block, and a batch of variants
-    that each write up to two disjoint boxes (edge and corner boxes, +0.0 and
-    -0.0 included) into it, or leave it unchanged."""
+    """A random_cnn with kernels of 1, 3 or 5 along each axis, a base image
+    with a +0.0 block, and a batch of variants that each write up to two
+    disjoint boxes (edge and corner boxes, +0.0 and -0.0 included) into it,
+    or leave it unchanged."""
     padding = draw(st.sampled_from(["same", "valid"]))
     pool, n_conv = draw(st.booleans()), draw(st.integers(1, 2))
-    sides = [n for n in range(8, 31) if _plane_fits(n, n_conv, padding, pool)]
-    c, h, w = draw(st.integers(1, 3)), draw(st.sampled_from(sides)), draw(st.sampled_from(sides))
+    size = st.sampled_from([1, 3, 5])
+    kernels = draw(st.lists(st.tuples(size, size), min_size=n_conv, max_size=n_conv))
+    c = draw(st.integers(1, 3))
+    h, w = (
+        draw(st.sampled_from([n for n in range(8, 31) if _plane_fits(n, ks, padding, pool)]))
+        for ks in zip(*kernels)
+    )
     widths = draw(st.lists(st.integers(1, 5), min_size=n_conv, max_size=n_conv))
     model = random_cnn(
         seed=draw(st.integers(0, 2**16)),
@@ -261,6 +268,7 @@ def base_and_variants(draw):
         pool=pool,
         padding=padding,
         head=draw(st.sampled_from(["flatten", "gap"])),
+        kernels=kernels,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     base = rng.random((c, h, w))
@@ -302,8 +310,16 @@ class TestForwardFromBase:
             # 9x7 planes, not a whole number of GEMM tiles, at 2 and 4 channels.
             (random_cnn(seed=10, input_shape=(2, 9, 7), channels=(4, 8), pool=False), 3, 2, True),
             (linear_model(np.random.default_rng(6).normal(size=(2, 36)), (1, 6, 6)), 2, 2, False),
+            # Non-square and 1x1 kernels: "same" pads each axis by its own amount.
+            (random_cnn(seed=11, input_shape=(1, 16, 16), channels=(4, 8), kernels=[(3, 5)] * 2), 4, 3, False),
+            (random_cnn(seed=12, input_shape=(2, 16, 16), channels=(4, 8), kernels=[(5, 3)] * 2), 3, 2, True),
+            (random_cnn(seed=13, input_shape=(1, 16, 16), channels=(4, 8), kernels=[(1, 1)] * 2), 4, 3, False),
+            # 22x24 -> conv0 20x20 -> pool 10x10 -> conv1 8x6 -> pool 4x3.
+            (random_cnn(seed=14, input_shape=(1, 22, 24), channels=(4, 8), padding="valid", kernels=[(3, 5)] * 2),
+             5, 3, False),
         ],
-        ids=["tiny_32", "tiny_3x64", "valid", "no_pool", "gap_head", "width_12", "odd_planes", "linear"],
+        ids=["tiny_32", "tiny_3x64", "valid", "no_pool", "gap_head", "width_12", "odd_planes", "linear",
+             "same_3x5", "same_5x3", "same_1x1", "valid_3x5"],
     )
     def test_bytes_equal_a_plain_pass(self, model, patch, stride, per_channel):
         x = rand_image(7, model.input_shape).array
