@@ -107,15 +107,22 @@ def pgd_batch(model, xb: np.ndarray, labels, cfg: AttackConfig) -> np.ndarray:
     return adv
 
 
-def adv_accuracy(model, ds, split: str, cfg: AttackConfig) -> float:
-    """Accuracy on per-image attacks crafted against this same model."""
+def _accuracy(model, ds, split: str, perturb=None) -> float:
+    """Fraction of argmax-correct predictions on a split, in [0, 1], each
+    batch first replaced by ``perturb(xb, yb)`` when given."""
     correct = total = 0
     for xb, yb in ds.batches(split, EVAL_BATCH):
-        adv = pgd_batch(model, xb, yb, cfg)
-        logits, _ = forward_batch(model, adv)
+        if perturb is not None:
+            xb = perturb(xb, yb)
+        logits, _ = forward_batch(model, xb)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         total += len(yb)
     return correct / total
+
+
+def adv_accuracy(model, ds, split: str, cfg: AttackConfig) -> float:
+    """Accuracy on per-image attacks crafted against this same model."""
+    return _accuracy(model, ds, split, lambda xb, yb: pgd_batch(model, xb, yb, cfg))
 
 
 def delta_acc(clean: float, adv: float) -> float:

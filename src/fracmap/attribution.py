@@ -14,9 +14,6 @@ Signed quantities back two exactness properties that tests lean on:
 * ``deeplift_contributions`` sum exactly to f_c(x) - f_c(x_ref),
 * ``ig_attributions`` converge to F(x) - F(x_baseline) as steps grow
   (midpoint rule), and are exact for linear models at any step count.
-
-``occlusion`` evaluates its variants with ``forward_values(..., base=x)``,
-which recomputes only the box each patch reaches, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import backward_batch, forward_batch, forward_values, grad_input
-from .layers import round_up_to_tile
 from .pgm import to_bytes_gray, write_pgm
 from .tensor import Tensor
 
@@ -49,10 +45,9 @@ __all__ = [
     "write_heatmap",
 ]
 
-MAP_BATCH = 64  # images per IG forward/backward pass; a whole number of GEMM tiles
-# Most occlusion variants per forward pass: an 8x8/stride-4 map of a 64x64
-# image (232 rows with its padding) takes one pass, and a stride-1 map stays
-# bounded.
+MAP_BATCH = 64  # images per IG forward/backward pass
+# Most rows per occlusion forward pass, which bounds memory: an 8x8/stride-4
+# map of a 64x64 image (225 variants and the clean image) takes one pass.
 OCCLUSION_BATCH = 256
 
 
@@ -182,27 +177,22 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
     Variants go through ``forward_values(..., base=x)``, so only the box a
-    patch reaches is recomputed, in as few passes of at most OCCLUSION_BATCH
-    rows as hold them. Copies of ``x`` pad the variants, at least one of
-    them, so that every pass has the same whole number of GEMM tiles, and
-    the clean logit is read from the last copy. Every row then comes from a
-    full tile of a GEMM of one size (BLAS picks its kernel by both), so a
-    patch that changes no pixel scores exactly 0.
+    patch reaches is recomputed, in passes of at most OCCLUSION_BATCH rows;
+    ``x`` itself is the row after the last variant. Every layer gives an
+    image the same bytes in any batch, so an unchanged patch scores exactly 0.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
     channels = range(x.shape[0]) if cfg.per_channel else [slice(None)]
     cells = [(i, j, ch) for i, j in positions for ch in channels]
     n = len(cells)
-    n_chunks = -(-(n + 1) // OCCLUSION_BATCH)
-    size = round_up_to_tile(-(-(n + 1) // n_chunks))
-    logits = np.empty(n_chunks * size)
-    for start in range(0, len(logits), size):
-        chunk = np.repeat(x.array[None], size, axis=0)
-        for occ, (i, j, ch) in zip(chunk, cells[start : start + size]):
+    logits = np.empty(n + 1)
+    for start in range(0, n + 1, OCCLUSION_BATCH):
+        chunk = np.repeat(x.array[None], min(OCCLUSION_BATCH, n + 1 - start), axis=0)
+        for occ, (i, j, ch) in zip(chunk, cells[start:]):
             occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
-        logits[start : start + size] = forward_values(model, chunk, base=x.array)[:, c]
-    drops = logits[-1] - logits[:n]
+        logits[start : start + len(chunk)] = forward_values(model, chunk, base=x.array)[:, c]
+    drops = logits[n] - logits[:n]
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(

@@ -12,15 +12,10 @@ Layers compute over a leading batch axis; the batched entry points
 and attack loops, while the single-image API wraps a batch of one.
 
 ``forward_values(model, xb, base=b)`` evaluates images that each differ
-from one image ``b`` inside a small box, as occlusion variants do. Through
-the model's local prefix (``Standardize``, ``ReLU``, ``MaxPool2`` and
-stride-1 ``Conv2d``), each changed image carries only the box its change
-reaches, one box size for all images and at its own offset; every other
-pixel is ``b``'s, computed once per call. A conv computes exactly its output
-box: it runs unpadded over a window of ``out + k - 1`` cells per axis, cut
-from ``b``'s zero-padded input to it with the incoming box pasted in. The
-result has the bytes of ``forward_values(model, xb)`` (README, "Speed and
-exactness").
+from one image ``b`` inside a small box, as occlusion variants do: through
+the model's local prefix each carries only the box its change reaches, and
+the result has the bytes of ``forward_values(model, xb)``. README, "Speed
+and exactness", gives the windowing rule.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.

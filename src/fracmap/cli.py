@@ -31,7 +31,7 @@ import numpy as np
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
 from .atomic import atomic_open
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
-from .coverage import check_percentile, coverage_table, write_csv
+from .coverage import check_percentiles, coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
 from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
@@ -96,8 +96,7 @@ class _CoverageSection:
     split: str = "test"  # also the split that ``attack`` scores
 
     def __post_init__(self):
-        for nu in self.percentiles:
-            check_percentile(nu)
+        check_percentiles(self.percentiles)
 
 
 _ATTACK_KEYS = {
@@ -344,6 +343,15 @@ def _parse_methods(raw) -> list:
     return methods
 
 
+def _parse_percentiles(raw) -> tuple:
+    try:
+        percentiles = tuple(float(v) for chunk in raw for v in chunk.split(",") if v)
+        check_percentiles(percentiles)
+    except ValueError as exc:
+        raise ValueError(f"--percentiles: {exc}") from None
+    return percentiles
+
+
 def cmd_attribute(args) -> int:
     target = args.target_class if args.target_class is not None else FRACTURED
     out_dir = Path(args.out)
@@ -376,9 +384,9 @@ def cmd_coverage(args) -> int:
     with _RunStatus(out_path.with_name(out_path.name + ".status"), "coverage", args.seed) as status:
         rm, ds = status.load_inputs(args)
         methods = _parse_methods(args.methods)
-        percentiles = rm.coverage.percentiles if args.percentiles is None else tuple(
-            float(v) for chunk in args.percentiles for v in chunk.split(",") if v
-        )
+        percentiles = rm.coverage.percentiles
+        if args.percentiles is not None:
+            percentiles = _parse_percentiles(args.percentiles)
         models = {}
         for model_path in args.models:
             model, _ = load_model(model_path)

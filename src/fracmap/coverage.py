@@ -29,7 +29,7 @@ __all__ = [
     "AnnotationSet",
     "CoverageRow",
     "CoverageReport",
-    "check_percentile",
+    "check_percentiles",
     "nearest_rank_percentile",
     "threshold_mask",
     "point_coverage",
@@ -94,14 +94,18 @@ class AnnotationSet:
         return image_id in self.entries
 
 
-def check_percentile(nu: float) -> None:
-    if not 0.0 <= nu <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+def check_percentiles(nus) -> None:
+    """Raise ValueError for an empty list of percentiles or one outside [0, 100]."""
+    if not nus:
+        raise ValueError("the percentile list is empty")
+    for nu in nus:
+        if not 0.0 <= nu <= 100.0:
+            raise ValueError(f"percentile must lie in [0, 100], got {nu}")
 
 
 def nearest_rank_percentile(values, nu: float) -> float:
     """Smallest sample value with at least nu percent of samples <= it."""
-    check_percentile(nu)
+    check_percentiles([nu])
     flat = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     n = flat.size
     if float(nu).is_integer():
@@ -118,7 +122,7 @@ def threshold_mask(amap: AttributionMap, nu: float) -> BinaryMask:
     nu = 0 keeps every pixel. Maps flagged degenerate by ``normalize`` have
     lost their ordering and are rejected for nu > 0.
     """
-    check_percentile(nu)
+    check_percentiles([nu])
     if amap.degenerate and nu > 0:
         raise ValueError("cannot threshold a degenerate (constant) normalized map")
     thr = nearest_rank_percentile(amap.values, nu)
@@ -205,8 +209,7 @@ def coverage_table(
     for image_id in ann.entries:
         if image_id not in ds.ids:
             raise ValueError(f"annotated image {image_id!r} is not in the dataset")
-    for nu in percentiles:
-        check_percentile(nu)
+    check_percentiles(percentiles)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown attribution method {method!r}")

@@ -38,35 +38,26 @@ after the leading kind word and ``name=``. ``Conv2d`` writes
 ``in/out``, and a layer without parameters writes none. The model module
 saves and loads every kind through these fields and ``LAYER_KINDS``.
 
-The two hot kernels produce the bytes of a plain per-image evaluation:
+The hot kernels keep the bytes of a plain per-image evaluation, whatever
+else shares the batch (README, "Speed and exactness"):
 
 * ``Conv2d`` runs, per kernel offset, one channel-first GEMM
-  ``(O x C) @ (C x columns)`` over a block of images, sized by
-  ``CONV_BLOCK_VALUES`` so that the block's output stays in cache. Each
-  output still sums over C inside one product and over offsets in
-  row-major order. With C == 1 the product has K = 1, and a broadcast
-  multiply gives the same bytes faster. The columns come from one zeroed
-  channel-first buffer per batch (``_pitched``, kept as the saved ``xp``):
-  every zero-padded plane is stored once with row pitch ``wp``, so kernel
-  offset (dh, dw) reads the contiguous slice ``dh * wp + dw`` columns past
-  the block's start, with no window copy and no ``np.pad``. The valid
-  columns are taken once per block. The input gradient writes ``gy`` into
-  such a buffer and adds each offset's product into a shifted slice of a
-  pitched ``gx``. The columns outside the output planes are dropped, or,
-  in ``gx``, add products of ``gy``'s zeros: with finite weights each is
-  +0.0 or -0.0, and adding either to a sum that starts at +0.0 changes no
-  byte, because such a sum is never -0.0. Planes start on a GEMM_TILE
-  column and every product spans whole tiles, so each column gets BLAS's
-  full-tile kernel: an image's bytes do not depend on its block, nor on
-  which rows of it a product covers. The weight gradient keeps a
-  per-image GEMM and a batch sum, over windows copied from ``xp``.
+  ``(O x C) @ (C x columns)`` over a block of images sized by
+  ``CONV_BLOCK_VALUES``, or a broadcast multiply when C == 1. The columns
+  are contiguous slices of one zeroed buffer of row-pitched, zero-padded
+  planes (``_pitched``, saved as ``xp``), each plane starting on a
+  GEMM_TILE column, so BLAS sums every column with its full-tile kernel.
+  The input gradient adds each offset's product into a shifted slice of a
+  pitched ``gx``; the weight gradient is a per-image GEMM and a batch sum.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
-  and saves only ``x`` and ``y``; DeepLIFT rebuilds the windows from ``x``.
-  Backward routes each window's gradient to the first view equal to ``y``:
-  per view, a 0/1 mask of the cells it takes multiplies the bit patterns of
-  ``gy`` (as uint64) straight into that view of ``gx``. A routed cell gets
-  ``gy``'s exact bits, -0.0 and NaN included, and every other cell +0.0,
-  the bytes of ``np.where(hit, gy, 0.0)`` without its temporaries.
+  and routes each window's gradient to the first view equal to ``y`` by bit
+  select, the bytes of ``np.where(hit, gy, 0.0)`` without its temporaries.
+* ``Dense`` runs ``x @ w.T`` and ``gy @ w`` as one GEMM per block of
+  GEMM_TILE rows, the last block zero-padded, so every row comes from a full
+  tile of a GEMM of one size. A plain ``x @ w.T`` gives a row other last
+  bits in a batch of one, in a batch's last partial tile, and once the
+  product passes OpenBLAS's size switch. The weight gradient is a batch sum
+  and stays one GEMM.
 """
 
 from __future__ import annotations
@@ -93,10 +84,10 @@ RESCALE_FALLBACK = 1e-7
 # Output values (channels x images x pixels) per block of a Conv2d GEMM;
 # of 16384 to 98304, the fastest for tiny_cnn's PGD training step.
 CONV_BLOCK_VALUES = 32768
-# Tile of the BLAS GEMM kernels: Conv2d's column tile, and a multiple of
-# Dense's 4-row tile. A row or column inside a full tile gets the same bits
-# wherever the tile lies; the last partial tile goes to edge kernels whose
-# summation order can differ.
+# Tile of the BLAS GEMM kernels: Conv2d's column tile, and Dense's row
+# block, a multiple of the 4-row tile. A row or column inside a full tile of
+# a GEMM of one size gets the same bits wherever the tile lies; the last
+# partial tile goes to edge kernels whose summation order can differ.
 GEMM_TILE = 8
 
 
@@ -494,10 +485,21 @@ class Dense(_Affine):
             )
         return (self.out_features,)
 
+    @staticmethod
+    def _by_row_blocks(a, b):
+        """a @ b as one GEMM per GEMM_TILE rows of a, the last block zero-padded."""
+        (n, k), m = a.shape, b.shape[1]
+        full = n - n % GEMM_TILE
+        y = np.empty((round_up_to_tile(n), m), dtype=np.float64)
+        np.matmul(a[:full].reshape(-1, GEMM_TILE, k), b, out=y[:full].reshape(-1, GEMM_TILE, m))
+        if full < n:
+            y[full:] = np.concatenate([a[full:], np.zeros((len(y) - n, k))]) @ b
+        return y[:n]
+
     def forward(self, params, x):
         w = params[f"{self.name}.weight"]
         b = params[f"{self.name}.bias"]
-        return x @ w.T + b[None, :], {"x": x}
+        return self._by_row_blocks(x, w.T) + b[None, :], {"x": x}
 
     def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
@@ -506,7 +508,7 @@ class Dense(_Affine):
             grads[f"{self.name}.weight"] = gy.T @ saved["x"]
         if f"{self.name}.bias" in grad_names:
             grads[f"{self.name}.bias"] = gy.sum(axis=0)
-        return (gy @ w if input_grad else None), grads
+        return (self._by_row_blocks(gy, w) if input_grad else None), grads
 
 
 LAYER_KINDS = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import EVAL_BATCH, AttackConfig, pgd_batch
+from .attack import AttackConfig, _accuracy, pgd_batch
 from .autodiff import backward_batch, forward_batch
 from .loss import cross_entropy, cross_entropy_grad
 
@@ -141,9 +141,4 @@ def adv_train(model, ds, atk: AttackConfig, cfg: TrainConfig) -> TrainResult:
 
 def evaluate(model, ds, split: str) -> float:
     """Fraction of argmax-correct predictions on a split, in [0, 1]."""
-    correct = total = 0
-    for xb, yb in ds.batches(split, EVAL_BATCH):
-        logits, _ = forward_batch(model, xb)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-        total += len(yb)
-    return correct / total
+    return _accuracy(model, ds, split)

@@ -26,7 +26,6 @@ from fracmap.attribution import (
 )
 from fracmap.attribution import _occlusion_grid, _upsample_covering
 from fracmap.autodiff import forward_values, kink_margin, numeric_gradient
-from fracmap.layers import round_up_to_tile
 from fracmap.model import tiny_cnn
 from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
@@ -141,10 +140,9 @@ class TestOcclusion:
 
     @pytest.mark.parametrize("per_channel", [False, True])
     def test_equals_a_plain_pass_per_variant_byte_for_byte(self, per_channel):
-        # Scores from plain forward passes over every occluded variant, in
-        # MAP_BATCH chunks, as occlusion computed them before it reused the
-        # clean image's rows; copies of the clean image pad the variants to
-        # whole GEMM tiles, and the last gives the clean logit.
+        # Scores from plain forward passes over every occluded variant and
+        # then the clean image, in MAP_BATCH chunks, as occlusion computed
+        # them before it reused the clean image's rows.
         m = random_cnn(seed=8, input_shape=(2, 32, 32), channels=(8, 16), head="gap")
         x = rand_image(8, (2, 32, 32))
         cfg = OcclusionConfig(patch_h=6, patch_w=4, stride_h=3, stride_w=2, per_channel=per_channel)
@@ -156,7 +154,7 @@ class TestOcclusion:
                 occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
                 variants.append(occ)
         n = len(variants)
-        variants += [x.array] * (round_up_to_tile(n + 1) - n)
+        variants.append(x.array)
         logits = np.empty(len(variants))
         for start in range(0, len(variants), MAP_BATCH):
             chunk = np.stack(variants[start : start + MAP_BATCH])
@@ -166,11 +164,11 @@ class TestOcclusion:
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
 
     def test_stride_one_map_runs_in_bounded_chunks_and_equals_plain_passes(self, monkeypatch):
-        # A 2x2 patch at stride 1 on 64x64: 3,969 variants, in 16 chunks of
-        # 256 rows with 127 clean copies. The head has 2,048 features, so a
-        # 256-row and a 136-row head GEMM take different BLAS kernels, and a
-        # short last chunk would keep the unchanged patch at (0, 0) from
-        # scoring exactly 0.
+        # A 2x2 patch at stride 1 on 64x64: 3,969 variants and the clean
+        # image, in chunks of at most OCCLUSION_BATCH rows with a short last
+        # one. The head has 2,048 features, past the size where a plain
+        # 256-row GEMM takes another BLAS kernel than a short one, and the
+        # unchanged patch at (0, 0) still scores exactly 0.
         m = random_cnn(seed=12, input_shape=(1, 64, 64), channels=(4, 8))
         img = rand_image(12, (1, 64, 64)).array.copy()
         img[:, :2, :2] = 0.0
@@ -186,7 +184,8 @@ class TestOcclusion:
 
         monkeypatch.setattr("fracmap.attribution.forward_values", recorded)
         amap = occlusion(m, x, 0, cfg)
-        assert [len(xb) for xb in chunks] == [OCCLUSION_BATCH] * 16
+        assert all(len(xb) <= OCCLUSION_BATCH for xb in chunks)
+        assert sum(len(xb) for xb in chunks) == len(positions) + 1
         assert amap.values[0, 0] == 0.0
         # The plain-pass oracle: every chunk evaluated without a base.
         logits = np.concatenate([forward_values(m, xb)[:, 0] for xb in chunks])

@@ -341,6 +341,61 @@ class TestForwardFromBase:
             forward_values(model, np.zeros((2, 1, 32, 32)), base=np.zeros((1, 16, 16)))
 
 
+# Models whose rows must not depend on their batch: tiny_cnn heads of 512
+# and 2,048 features, odd planes, flatten and GAP heads, 1-3 channels.
+BATCH_MODELS = [
+    tiny_cnn(1, input_shape=(1, 32, 32)),
+    tiny_cnn(2, input_shape=(3, 64, 64)),
+    random_cnn(seed=10, input_shape=(2, 9, 7), channels=(4, 8), pool=False),
+    random_cnn(seed=11, input_shape=(1, 16, 16), channels=(4, 8), head="gap"),
+    random_cnn(seed=14, input_shape=(3, 22, 24), channels=(4, 8), padding="valid", kernels=[(3, 5)] * 2),
+]
+
+
+class TestBatchInvariance:
+    # An image's logits and input gradient keep the bytes of its batch-of-one
+    # pass, whatever shares its batch: occlusion's exact drops subtract
+    # logits taken from rows of one batch.
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(BATCH_MODELS),
+        n=st.one_of(st.integers(1, 20), st.integers(63, 66)),
+        data=st.data(),
+    )
+    def test_a_row_equals_its_batch_of_one(self, model, n, data):
+        row = data.draw(st.integers(0, n - 1), label="row")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        xb = rng.random((n, *model.input_shape))
+        # Other rows may be copies of the image or blank, as in occlusion's passes.
+        kinds = rng.integers(0, 3, n)
+        xb[kinds == 1] = xb[row]
+        xb[(kinds == 2) & (np.arange(n) != row)] = 0.0
+        gy = rng.normal(size=(n, model.num_classes))
+        logits, tape = forward_batch(model, xb)
+        gx, _ = backward_batch(tape, gy)
+        one, tape = forward_batch(model, xb[row : row + 1])
+        g_one, _ = backward_batch(tape, gy[row : row + 1])
+        assert logits[row].tobytes() == one[0].tobytes()
+        assert gx[row].tobytes() == g_one[0].tobytes()
+
+    def test_dense_rows_past_the_blas_size_switch(self):
+        # OpenBLAS gives a GEMM with M * N * K above 10^6 another kernel: a
+        # plain x @ w.T changed the bits of rows 0-7 once 2,048 features had
+        # 245 rows or more.
+        layer = Dense(name="fc", in_features=2048, out_features=2)
+        rng = np.random.default_rng(0)
+        params = {"fc.weight": rng.normal(size=(2, 2048)), "fc.bias": rng.normal(size=2)}
+        x, gy = rng.normal(size=(300, 2048)), rng.normal(size=(300, 2))
+        y, saved = layer.forward(params, x)
+        gx, _ = layer.backward(params, saved, gy, frozenset())
+        for i in range(len(x)):
+            y_one, saved = layer.forward(params, x[i : i + 1])
+            gx_one, _ = layer.backward(params, saved, gy[i : i + 1], frozenset())
+            assert y[i].tobytes() == y_one[0].tobytes(), i
+            assert gx[i].tobytes() == gx_one[0].tobytes(), i
+
+
 class TestGradInput:
     def test_linear_model_gradient_is_weight_row(self):
         rng = np.random.default_rng(0)

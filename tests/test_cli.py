@@ -148,6 +148,7 @@ class TestManifestKeys:
             ({"attack": {"epsilon": float("nan")}}, "attack.epsilon"),
             ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
             ({"coverage": {"percentiles": [85, float("-inf")]}}, "coverage.percentiles"),
+            ({"coverage": {"percentiles": []}}, "coverage.percentiles"),
         ],
         ids=[
             "string-bool",
@@ -161,6 +162,7 @@ class TestManifestKeys:
             "nan",
             "infinity",
             "infinity-in-list",
+            "empty-percentiles",
         ],
     )
     def test_defect_names_manifest_and_field(self, tmp_path, payload, field):
@@ -365,6 +367,21 @@ class TestCoverage:
             model_id, method, nu, val = line.split(",")
             if nu == "0":
                 assert val == "100.00"
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [("", "the percentile list is empty"), ("15,abc", "could not convert string to float: 'abc'")],
+        ids=["empty", "not-a-number"],
+    )
+    def test_bad_percentiles_flag_fails_naming_it(self, workspace, trained, tmp_path, capsys, raw, problem):
+        std, _ = trained
+        out = tmp_path / "cov.csv"
+        argv = ["coverage", "--manifest", str(workspace / "rm.json"), "--models", str(std)]
+        rc = main(argv + ["--methods", "saliency", "--percentiles", raw, "--out", str(out)])
+        assert rc != 0
+        assert f"--percentiles: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "cov.csv.status").read_text().startswith("failed")
 
     def test_manifest_baselines_reach_the_table(self, workspace, trained, tmp_path):
         # coverage must score the maps attribute exports: mean IG baseline and

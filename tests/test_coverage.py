@@ -221,6 +221,12 @@ class TestCoverageTable:
         with pytest.raises(ModelError, match="input shape"):
             coverage_table({"m": wrong}, [method], [15], ds, ds.annotations)
 
+    def test_empty_percentile_list_rejected(self, table_setup):
+        # An empty list would compute every map and then return no rows.
+        ds, model = table_setup
+        with pytest.raises(ValueError, match="percentile list is empty"):
+            coverage_table({"m": model}, ["saliency"], [], ds, ds.annotations)
+
     def test_unknown_method_rejected(self, table_setup):
         ds, model = table_setup
         with pytest.raises(ValueError, match="gradcam"):
