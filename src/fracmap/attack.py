@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward_batch, forward_batch
+from .autodiff import backward_batch, forward_batch, forward_values
 from .loss import cross_entropy_grad
 
 __all__ = [
@@ -114,8 +114,7 @@ def _accuracy(model, ds, split: str, perturb=None) -> float:
     for xb, yb in ds.batches(split, EVAL_BATCH):
         if perturb is not None:
             xb = perturb(xb, yb)
-        logits, _ = forward_batch(model, xb)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+        correct += int(np.sum(np.argmax(forward_values(model, xb), axis=1) == yb))
         total += len(yb)
     return correct / total
 

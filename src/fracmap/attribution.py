@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 MAP_BATCH = 64  # images per IG forward/backward pass
-# Most rows per occlusion forward pass, which bounds memory: an 8x8/stride-4
-# map of a 64x64 image (225 variants and the clean image) takes one pass.
+# Most variants per occlusion forward pass, which bounds memory: an
+# 8x8/stride-4 map of a 64x64 image (225 variants) takes one pass.
 OCCLUSION_BATCH = 256
 
 
@@ -176,23 +176,25 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
 
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
-    Variants go through ``forward_values(..., base=x)``, so only the box a
-    patch reaches is recomputed, in passes of at most OCCLUSION_BATCH rows;
-    ``x`` itself is the row after the last variant. Every layer gives an
-    image the same bytes in any batch, so an unchanged patch scores exactly 0.
+    Each variant is its patch box, which ``forward_values(..., base=)``
+    writes into ``x`` and recomputes only where it reaches, in passes of at
+    most OCCLUSION_BATCH boxes. Every layer gives an image the same bytes in
+    any batch, so an unchanged patch scores exactly 0.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
-    channels = range(x.shape[0]) if cfg.per_channel else [slice(None)]
-    cells = [(i, j, ch) for i, j in positions for ch in channels]
-    n = len(cells)
-    logits = np.empty(n + 1)
-    for start in range(0, n + 1, OCCLUSION_BATCH):
-        chunk = np.repeat(x.array[None], min(OCCLUSION_BATCH, n + 1 - start), axis=0)
-        for occ, (i, j, ch) in zip(chunk, cells[start:]):
-            occ[ch, i : i + cfg.patch_h, j : j + cfg.patch_w] = cfg.baseline_value
-        logits[start : start + len(chunk)] = forward_values(model, chunk, base=x.array)[:, c]
-    drops = logits[n] - logits[:n]
+    k = x.shape[0] if cfg.per_channel else 1  # variants per position
+    rows, cols = np.repeat(np.array(positions), k, axis=0).T
+    img = x.array
+    windows = np.lib.stride_tricks.sliding_window_view(img, (cfg.patch_h, cfg.patch_w), axis=(1, 2))
+    boxes = windows[:, rows, cols].swapaxes(0, 1)
+    for ch in range(k):
+        boxes[ch::k, ch if cfg.per_channel else slice(None)] = cfg.baseline_value
+    logits = np.empty(len(boxes))
+    for start in range(0, len(boxes), OCCLUSION_BATCH):
+        part = slice(start, start + OCCLUSION_BATCH)
+        logits[part] = forward_values(model, boxes[part], base=(img, rows[part], cols[part]))[:, c]
+    drops = forward_values(model, img)[c] - logits
     scores = drops.reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(

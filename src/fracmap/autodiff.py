@@ -11,11 +11,11 @@ Layers compute over a leading batch axis; the batched entry points
 (``forward_batch`` / ``backward_batch``) expose that directly for training
 and attack loops, while the single-image API wraps a batch of one.
 
-``forward_values(model, xb, base=b)`` evaluates images that each differ
-from one image ``b`` inside a small box, as occlusion variants do: through
-the model's local prefix each carries only the box its change reaches, and
-the result has the bytes of ``forward_values(model, xb)``. README, "Speed
-and exactness", gives the windowing rule.
+``forward_values(model, boxes, base=(x, rows, cols))`` evaluates the images
+that are ``x`` with box j written at ``(rows[j], cols[j])``, as occlusion
+variants are: through the model's local prefix each carries only what its
+box reaches, and the result has the bytes of a plain pass over those full
+images. README, "Speed and exactness", gives the windowing rule.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -106,24 +106,27 @@ def forward(model, x: Tensor):
 def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
     """Tape-free forward pass over a raw array; accepts one image or a batch.
 
-    With ``base``, one image of the model's input shape, each image is
-    evaluated as ``base`` with the box where it differs spliced in, reusing
-    ``base``'s activations outside what the box reaches (see the module
-    docstring); the result has the same bytes as without ``base``.
+    With ``base=(x, rows, cols)``, ``x_array`` is an (n, C, bh, bw) batch of
+    boxes and image j is ``x`` with box j written at ``(rows[j], cols[j])``;
+    only what a box reaches is recomputed (see the module docstring), and
+    the result has the bytes of a plain pass over those images.
     """
     x_array = np.asarray(x_array, dtype=np.float64)
+    if base is not None:
+        x, rows, cols = np.asarray(base[0], dtype=np.float64), *map(np.asarray, base[1:])
+        model.check_input_shape(x.shape)
+        if x_array.ndim != 4 or x_array.shape[1] != x.shape[0]:
+            raise ModelError(f"boxes of shape {x_array.shape} are not (n, {x.shape[0]}, bh, bw)")
+        if rows.shape != (len(x_array),) or cols.shape != rows.shape:
+            raise ModelError(f"{len(x_array)} boxes, offsets of shapes {rows.shape}, {cols.shape}")
+        (bh, bw), (h, w) = x_array.shape[2:], x.shape[1:]
+        if not np.all((0 <= rows) & (rows <= h - bh) & (0 <= cols) & (cols <= w - bw)):
+            raise ModelError(f"a {bh}x{bw} box at these offsets does not fit in the {h}x{w} plane")
+        return _forward_from_base(model, x_array, x, rows, cols)
     single = x_array.ndim == 3
     xb = x_array[None] if single else x_array
     model.check_input_shape(xb.shape[1:])
-    if base is None:
-        out, _ = _run_forward(model, xb, record=False)
-    else:
-        base = np.asarray(base, dtype=np.float64)
-        if base.shape != model.input_shape:
-            raise ModelError(
-                f"base shape {base.shape} does not match the model input {model.input_shape}"
-            )
-        out = _forward_from_base(model, xb, base)
+    out, _ = _run_forward(model, xb, record=False)
     return out[0] if single else out
 
 
@@ -163,48 +166,36 @@ def _paste(a, boxes, images, rows, cols):
     view[images, :, rows, cols] = boxes
 
 
-def _forward_from_base(model, xb, base):
-    """``forward_values`` with ``base``: each changed image carries a box of
-    one size for all, at its own offset, through the local prefix; then the
-    boxes are spliced into copies of ``base``'s activations and the rest of
-    the model runs over the whole batch at once."""
+def _forward_from_base(model, band, x, pr, pc):
+    """``forward_values`` with ``base``: each box of ``band`` goes through
+    the local prefix at its own offset (``pr``, ``pc``), in a window of
+    ``x``'s activations; then the boxes are spliced into copies of ``x``'s
+    activations and the rest of the model runs over the whole batch at once."""
     n_prefix = _local_prefix(model)
-    acts = []  # base's input to each prefix layer, a conv's zero-padded as its forward saves it
-    cur = base[None]
+    acts = []  # x's input to each prefix layer, a conv's zero-padded as its forward saves it
+    cur = x[None]
     for layer in model.layers[:n_prefix]:
         out, saved = layer.forward(model.params, cur)
         acts.append(saved["xp"] if layer.kind == "conv2d" else cur)
         cur = out
-    cur = np.repeat(cur, len(xb), axis=0)
-    # Compare bytes, so that -0.0 against +0.0 counts as a change.
-    changed = xb.view(np.uint64) != base.view(np.uint64)
-    rows, cols = np.any(changed, axis=(1, 3)), np.any(changed, axis=(1, 2))
-    idx = np.flatnonzero(rows.any(axis=1))
-    if idx.size:
-        bands = []  # per axis: the start of each changed image's box, and its size
-        for hit in (rows[idx], cols[idx]):
-            a = np.argmax(hit, axis=1)
-            size = int(np.max(hit.shape[1] - np.argmax(hit[:, ::-1], axis=1) - a))
-            bands.append((np.minimum(a, hit.shape[1] - size), size))
-        (pr, br), (pc, bc) = bands
-        band = _gather(xb, (br, bc), idx, pr, pc)
-        images = np.arange(idx.size)
-        for layer, act in zip(model.layers[:n_prefix], acts):
-            if layer.kind == "conv2d":
-                (dr, dc), (kr, kc), st = layer._pads(), (layer.kernel_h, layer.kernel_w), 1
-                layer = replace(layer, padding="valid")
-            elif layer.kind == "maxpool2":
-                (dr, dc), (kr, kc), st = (0, 0), (2, 2), 2
-            else:
-                band = layer.forward(model.params, band)[0]
-                continue
-            qr, oh, wh = _reach(kr, st, pr + dr, br, act.shape[2])
-            qc, ow, ww = _reach(kc, st, pc + dc, bc, act.shape[3])
-            win = _gather(act, (wh, ww), np.zeros_like(images), st * qr, st * qc)
-            _paste(win, band, images, pr + dr - st * qr, pc + dc - st * qc)
-            band = layer.forward(model.params, win)[0]
-            pr, br, pc, bc = qr, oh, qc, ow
-        _paste(cur, band, idx, pr, pc)
+    cur = np.repeat(cur, len(band), axis=0)
+    (br, bc), images = band.shape[2:], np.arange(len(band))
+    for layer, act in zip(model.layers[:n_prefix], acts):
+        if layer.kind == "conv2d":
+            (dr, dc), (kr, kc), st = layer._pads(), (layer.kernel_h, layer.kernel_w), 1
+            layer = replace(layer, padding="valid")
+        elif layer.kind == "maxpool2":
+            (dr, dc), (kr, kc), st = (0, 0), (2, 2), 2
+        else:
+            band = layer.forward(model.params, band)[0]
+            continue
+        qr, oh, wh = _reach(kr, st, pr + dr, br, act.shape[2])
+        qc, ow, ww = _reach(kc, st, pc + dc, bc, act.shape[3])
+        win = _gather(act, (wh, ww), np.zeros_like(images), st * qr, st * qc)
+        _paste(win, band, images, pr + dr - st * qr, pc + dc - st * qc)
+        band = layer.forward(model.params, win)[0]
+        pr, br, pc, bc = qr, oh, qc, ow
+    _paste(cur, band, images, pr, pc)
     return _run_forward(model, cur, record=False, start=n_prefix)[0]
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .attack import AttackConfig, RobustnessReport, adv_accuracy, delta_acc, rank_models
 from .atomic import atomic_open
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
-from .coverage import check_percentiles, coverage_table, write_csv
+from .coverage import check_methods, check_percentiles, coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
 from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
@@ -335,21 +335,15 @@ def _map_inputs(rm: RunManifest, ds):
     return PathConfig(baseline=ig_base, n_steps=ig.n_steps), zero if ref == "zero" else mean
 
 
-def _parse_methods(raw) -> list:
-    methods = [m.strip() for chunk in raw for m in chunk.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
-    return methods
-
-
-def _parse_percentiles(raw) -> tuple:
+def _parse_list(raw, flag: str, convert, check) -> tuple:
+    """A comma-separated list flag: its entries converted and checked; a
+    problem is reported under the flag's name."""
     try:
-        percentiles = tuple(float(v) for chunk in raw for v in chunk.split(",") if v)
-        check_percentiles(percentiles)
+        items = tuple(convert(v.strip()) for chunk in raw for v in chunk.split(",") if v.strip())
+        check(items)
     except ValueError as exc:
-        raise ValueError(f"--percentiles: {exc}") from None
-    return percentiles
+        raise ValueError(f"{flag}: {exc}") from None
+    return items
 
 
 def cmd_attribute(args) -> int:
@@ -357,7 +351,7 @@ def cmd_attribute(args) -> int:
     out_dir = Path(args.out)
     with _RunStatus(out_dir / "run-status.txt", "attribute", args.seed) as status:
         rm, ds = status.load_inputs(args)
-        methods = _parse_methods(args.methods)
+        methods = _parse_list(args.methods, "--methods", str, check_methods)
         model, _ = load_model(args.model)
         missing = [i for i in args.images if i not in ds.ids]
         if missing:
@@ -383,10 +377,10 @@ def cmd_coverage(args) -> int:
     out_path = Path(args.out)
     with _RunStatus(out_path.with_name(out_path.name + ".status"), "coverage", args.seed) as status:
         rm, ds = status.load_inputs(args)
-        methods = _parse_methods(args.methods)
+        methods = _parse_list(args.methods, "--methods", str, check_methods)
         percentiles = rm.coverage.percentiles
         if args.percentiles is not None:
-            percentiles = _parse_percentiles(args.percentiles)
+            percentiles = _parse_list(args.percentiles, "--percentiles", float, check_percentiles)
         models = {}
         for model_path in args.models:
             model, _ = load_model(model_path)

@@ -30,6 +30,7 @@ __all__ = [
     "CoverageRow",
     "CoverageReport",
     "check_percentiles",
+    "check_methods",
     "nearest_rank_percentile",
     "threshold_mask",
     "point_coverage",
@@ -95,12 +96,24 @@ class AnnotationSet:
 
 
 def check_percentiles(nus) -> None:
-    """Raise ValueError for an empty list of percentiles or one outside [0, 100]."""
-    if not nus:
-        raise ValueError("the percentile list is empty")
-    for nu in nus:
-        if not 0.0 <= nu <= 100.0:
-            raise ValueError(f"percentile must lie in [0, 100], got {nu}")
+    """Raise ValueError for an empty or repeating list of percentiles, or one outside [0, 100]."""
+    nus = [float(nu) for nu in nus]
+    _check_list(nus, "percentile", lambda nu: 0.0 <= nu <= 100.0, "is not in [0, 100]")
+
+
+def check_methods(methods) -> None:
+    """Raise ValueError for an empty or repeating list of methods, or one not in ``METHODS``."""
+    _check_list(methods, "method", METHODS.__contains__, f"is not one of {', '.join(METHODS)}")
+
+
+def _check_list(items, noun: str, valid, rule: str) -> None:
+    if not items:
+        raise ValueError(f"the {noun} list is empty")
+    for i, item in enumerate(items):
+        if not valid(item):
+            raise ValueError(f"{noun} {item!r} {rule}")
+        if item in items[:i]:
+            raise ValueError(f"{noun} {item!r} is repeated")
 
 
 def nearest_rank_percentile(values, nu: float) -> float:
@@ -210,9 +223,7 @@ def coverage_table(
         if image_id not in ds.ids:
             raise ValueError(f"annotated image {image_id!r} is not in the dataset")
     check_percentiles(percentiles)
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown attribution method {method!r}")
+    check_methods(methods)
     annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ann]
     if not annotated:
         raise ValueError(f"split {split!r} has no annotated images")

@@ -88,6 +88,16 @@ def rand_image(seed: int, shape) -> Tensor:
     return Tensor(rng.uniform(0.0, 1.0, shape))
 
 
+def write_boxes(x, boxes, rows, cols) -> np.ndarray:
+    """The full images that ``forward_values(model, boxes, base=(x, rows,
+    cols))`` stands for: ``x`` with box j written at (rows[j], cols[j])."""
+    out = np.repeat(np.asarray(x)[None], len(boxes), axis=0)
+    bh, bw = boxes.shape[2:]
+    for image, box, r, c in zip(out, boxes, rows, cols):
+        image[:, r : r + bh, c : c + bw] = box
+    return out
+
+
 SMALL_CFG = SynthConfig(height=32, width=32, bone_halfwidth=(3.0, 5.0), bone_halflen_frac=(0.34, 0.44))
 
 

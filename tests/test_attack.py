@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracmap.attack import (
+    EVAL_BATCH,
     AttackConfig,
     RobustnessReport,
     adv_accuracy,
@@ -11,6 +12,7 @@ from fracmap.attack import (
     pgd_batch,
     rank_models,
 )
+from fracmap.autodiff import forward_batch
 from fracmap.loss import softmax
 from fracmap.train import evaluate
 
@@ -121,6 +123,28 @@ class TestAdvAccuracy:
     def test_empty_split_rejected(self, quick_model, quick_dataset):
         with pytest.raises(ValueError, match="empty"):
             adv_accuracy(quick_model, quick_dataset, "nope", AttackConfig())
+
+    def test_scoring_records_no_tape(self, quick_model, quick_dataset, monkeypatch):
+        # The oracle scores each batch with a taped pass. evaluate then makes
+        # no taped pass, and adv_accuracy only PGD's, one per batch and step.
+        cfg = AttackConfig(epsilon=EPS, step_size=2 / 255, iters=2)
+        clean, adv = [], []
+        batches = list(quick_dataset.batches("test", EVAL_BATCH))
+        for xb, yb in batches:
+            clean += list(np.argmax(forward_batch(quick_model, xb)[0], axis=1) == yb)
+            attacked = pgd_batch(quick_model, xb, yb, cfg)
+            adv += list(np.argmax(forward_batch(quick_model, attacked)[0], axis=1) == yb)
+        calls = []
+
+        def recorded(model, xb):
+            calls.append(len(xb))
+            return forward_batch(model, xb)
+
+        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        assert evaluate(quick_model, quick_dataset, "test") == sum(clean) / len(clean)
+        assert calls == []
+        assert adv_accuracy(quick_model, quick_dataset, "test", cfg) == sum(adv) / len(adv)
+        assert calls == [len(yb) for _, yb in batches for _ in range(cfg.iters)]
 
 
 class TestDeltaAcc:

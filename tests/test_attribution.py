@@ -31,7 +31,7 @@ from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
 from fracmap.tensor import Tensor
 
-from conftest import linear_model, rand_image, random_cnn
+from conftest import linear_model, rand_image, random_cnn, write_boxes
 
 
 def zeros_like_input(model):
@@ -164,11 +164,11 @@ class TestOcclusion:
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
 
     def test_stride_one_map_runs_in_bounded_chunks_and_equals_plain_passes(self, monkeypatch):
-        # A 2x2 patch at stride 1 on 64x64: 3,969 variants and the clean
-        # image, in chunks of at most OCCLUSION_BATCH rows with a short last
-        # one. The head has 2,048 features, past the size where a plain
-        # 256-row GEMM takes another BLAS kernel than a short one, and the
-        # unchanged patch at (0, 0) still scores exactly 0.
+        # A 2x2 patch at stride 1 on 64x64: 3,969 variants in passes of at
+        # most OCCLUSION_BATCH boxes with a short last one, and one plain
+        # pass of the clean image. The head has 2,048 features, past the
+        # size where a plain 256-row GEMM takes another BLAS kernel than a
+        # short one, and the unchanged patch at (0, 0) still scores exactly 0.
         m = random_cnn(seed=12, input_shape=(1, 64, 64), channels=(4, 8))
         img = rand_image(12, (1, 64, 64)).array.copy()
         img[:, :2, :2] = 0.0
@@ -176,20 +176,22 @@ class TestOcclusion:
         cfg = OcclusionConfig(patch_h=2, patch_w=2, stride_h=1, stride_w=1)
         positions = _occlusion_grid(x.shape, cfg)
         assert len(positions) == 3969
-        chunks = []
+        calls = []
 
         def recorded(model, xb, **kwargs):
-            chunks.append(xb.copy())
+            calls.append((xb.copy(), kwargs.get("base")))
             return forward_values(model, xb, **kwargs)
 
         monkeypatch.setattr("fracmap.attribution.forward_values", recorded)
         amap = occlusion(m, x, 0, cfg)
-        assert all(len(xb) <= OCCLUSION_BATCH for xb in chunks)
-        assert sum(len(xb) for xb in chunks) == len(positions) + 1
+        passes = [(boxes, base) for boxes, base in calls if base is not None]
+        assert [len(boxes) for boxes, _ in passes] == [OCCLUSION_BATCH] * 15 + [129]
+        assert [base for _, base in calls if base is None] == [None]
         assert amap.values[0, 0] == 0.0
-        # The plain-pass oracle: every chunk evaluated without a base.
-        logits = np.concatenate([forward_values(m, xb)[:, 0] for xb in chunks])
-        scores = logits[-1] - logits[: len(positions)]
+        # The plain-pass oracle: the full images of every pass, and the
+        # clean image, evaluated without a base.
+        logits = [forward_values(m, write_boxes(base[0], boxes, *base[1:]))[:, 0] for boxes, base in passes]
+        scores = forward_values(m, img)[0] - np.concatenate(logits)
         assert amap.values.tobytes() == covering_average(x.shape, positions, scores, cfg).tobytes()
 
     @pytest.mark.parametrize("channels, per_channel", [(1, False), (3, False), (3, True)])

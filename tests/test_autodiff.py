@@ -27,7 +27,7 @@ from fracmap.layers import Conv2d, Dense, Flatten, ReLU
 from fracmap.model import Model, ModelError, tiny_cnn
 from fracmap.tensor import Tensor
 
-from conftest import frozen_backbone, linear_model, rand_image, random_cnn
+from conftest import frozen_backbone, linear_model, rand_image, random_cnn, write_boxes
 
 
 def passthrough_tail(n, prefix_layers, input_shape, params=None):
@@ -220,18 +220,21 @@ class _Recorder:
         return self.layer.backward(*args, input_grad=False)
 
 
-def patch_variants(x, patch, stride, per_channel=False):
-    """``x`` with a zero patch at each strided position, one channel at a time
-    with ``per_channel``; preceded by ``x`` itself, which differs in no row."""
+def patch_boxes(x, patch, stride, per_channel=False):
+    """Zero patch boxes of ``x`` at each strided position, one channel at a
+    time with ``per_channel``, and their offsets; preceded by ``x``'s own
+    pixels at (0, 0), a box that changes nothing."""
     c, h, w = x.shape
-    out = [x.copy()]
+    boxes, rows, cols = [x[:, :patch, :patch]], [0], [0]
     for i in range(0, h - patch + 1, stride):
         for j in range(0, w - patch + 1, stride):
             for ch in range(c) if per_channel else [slice(None)]:
-                occ = x.copy()
-                occ[ch, i : i + patch, j : j + patch] = 0.0
-                out.append(occ)
-    return np.stack(out)
+                box = x[:, i : i + patch, j : j + patch].copy()
+                box[ch] = 0.0
+                boxes.append(box)
+                rows.append(i)
+                cols.append(j)
+    return np.stack(boxes), np.array(rows), np.array(cols)
 
 
 def _plane_fits(n, kernel_sizes, padding, pool):
@@ -246,11 +249,12 @@ def _plane_fits(n, kernel_sizes, padding, pool):
 
 
 @st.composite
-def base_and_variants(draw):
+def base_and_boxes(draw):
     """A random_cnn with kernels of 1, 3 or 5 along each axis, a base image
-    with a +0.0 block, and a batch of variants that each write up to two
-    disjoint boxes (edge and corner boxes, +0.0 and -0.0 included) into it,
-    or leave it unchanged."""
+    with a +0.0 block, and boxes of one random size at random offsets (edge
+    and corner ones included). Each box holds the base's own pixels with a
+    sub-box of +0.0, -0.0, 0.25, 1.0 or random values written into it, or
+    left unchanged."""
     padding = draw(st.sampled_from(["same", "valid"]))
     pool, n_conv = draw(st.booleans()), draw(st.integers(1, 2))
     size = st.sampled_from([1, 3, 5])
@@ -273,24 +277,27 @@ def base_and_variants(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     base = rng.random((c, h, w))
     base[:, : h // 2, : w // 3] = 0.0
+    bh, bw = draw(st.integers(1, h)), draw(st.integers(1, w))
 
-    def box(n):
-        a = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
-        return a, draw(st.one_of(st.just(n), st.integers(a + 1, n)))
+    def offset(n, b):
+        return draw(st.one_of(st.just(0), st.just(n - b), st.integers(0, n - b)))
 
-    variants = []
+    def span(n):
+        a = draw(st.integers(0, n - 1))
+        return a, draw(st.integers(a + 1, n))
+
+    boxes, rows, cols = [], [], []
     for _ in range(draw(st.integers(1, 6))):
-        v = base.copy()
-        boxes = []
-        for _ in range(draw(st.integers(0, 2))):
-            (r0, r1), (c0, c1) = box(h), box(w)
-            if all(r1 <= a or b <= r0 or c1 <= p or q <= c0 for a, b, p, q in boxes):
-                boxes.append((r0, r1, c0, c1))
-                value = draw(st.sampled_from([0.0, -0.0, 0.25, 1.0, None]))
-                fill = rng.random((c, r1 - r0, c1 - c0)) if value is None else value
-                v[:, r0:r1, c0:c1] = fill
-        variants.append(v)
-    return model, base, np.stack(variants)
+        r, q = offset(h, bh), offset(w, bw)
+        box = base[:, r : r + bh, q : q + bw].copy()
+        value = draw(st.sampled_from([0.0, -0.0, 0.25, 1.0, None, "unchanged"]))
+        if value != "unchanged":
+            (r0, r1), (c0, c1) = span(bh), span(bw)
+            box[:, r0:r1, c0:c1] = rng.random((c, r1 - r0, c1 - c0)) if value is None else value
+        boxes.append(box)
+        rows.append(r)
+        cols.append(q)
+    return model, base, np.stack(boxes), np.array(rows), np.array(cols)
 
 
 class TestForwardFromBase:
@@ -323,22 +330,35 @@ class TestForwardFromBase:
     )
     def test_bytes_equal_a_plain_pass(self, model, patch, stride, per_channel):
         x = rand_image(7, model.input_shape).array
-        xb = patch_variants(x, patch, stride, per_channel)
-        plain = forward_values(model, xb)
-        assert forward_values(model, xb, base=x).tobytes() == plain.tobytes()
-        single = forward_values(model, xb[1])
-        assert forward_values(model, xb[1], base=x).tobytes() == single.tobytes()
+        boxes, rows, cols = patch_boxes(x, patch, stride, per_channel)
+        plain = forward_values(model, write_boxes(x, boxes, rows, cols))
+        assert forward_values(model, boxes, base=(x, rows, cols)).tobytes() == plain.tobytes()
+        one = forward_values(model, boxes[1:2], base=(x, rows[1:2], cols[1:2]))
+        assert one.tobytes() == plain[1:2].tobytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(case=base_and_variants())
+    @given(case=base_and_boxes())
     def test_bytes_equal_a_plain_pass_on_random_boxes(self, case):
-        model, base, xb = case
-        assert forward_values(model, xb, base=base).tobytes() == forward_values(model, xb).tobytes()
+        model, base, boxes, rows, cols = case
+        plain = forward_values(model, write_boxes(base, boxes, rows, cols))
+        assert forward_values(model, boxes, base=(base, rows, cols)).tobytes() == plain.tobytes()
 
-    def test_base_of_the_wrong_shape_rejected(self):
+    @pytest.mark.parametrize(
+        "x_shape, boxes_shape, rows, cols, problem",
+        [
+            ((1, 16, 16), (2, 1, 4, 4), [0, 0], [0, 0], r"input shape \(1, 16, 16\)"),
+            ((1, 32, 32), (2, 3, 4, 4), [0, 0], [0, 0], r"boxes of shape \(2, 3, 4, 4\)"),
+            ((1, 32, 32), (2, 1, 4, 4), [0, 0, 0], [0, 0, 0], "offsets of shapes"),
+            ((1, 32, 32), (2, 1, 4, 4), [0, 28], [-1, 0], "does not fit"),
+            ((1, 32, 32), (2, 1, 4, 4), [0, 29], [0, 0], "does not fit"),
+        ],
+        ids=["base-shape", "box-channels", "offset-count", "negative-offset", "past-the-edge"],
+    )
+    def test_malformed_boxes_rejected(self, x_shape, boxes_shape, rows, cols, problem):
         model = tiny_cnn(1, input_shape=(1, 32, 32))
-        with pytest.raises(ModelError, match="base shape"):
-            forward_values(model, np.zeros((2, 1, 32, 32)), base=np.zeros((1, 16, 16)))
+        base = (np.zeros(x_shape), np.array(rows), np.array(cols))
+        with pytest.raises(ModelError, match=problem):
+            forward_values(model, np.zeros(boxes_shape), base=base)
 
 
 # Models whose rows must not depend on their batch: tiny_cnn heads of 512

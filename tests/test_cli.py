@@ -149,6 +149,7 @@ class TestManifestKeys:
             ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
             ({"coverage": {"percentiles": [85, float("-inf")]}}, "coverage.percentiles"),
             ({"coverage": {"percentiles": []}}, "coverage.percentiles"),
+            ({"coverage": {"percentiles": [15, 85, 15]}}, "coverage.percentiles"),
         ],
         ids=[
             "string-bool",
@@ -163,6 +164,7 @@ class TestManifestKeys:
             "infinity",
             "infinity-in-list",
             "empty-percentiles",
+            "repeated-percentiles",
         ],
     )
     def test_defect_names_manifest_and_field(self, tmp_path, payload, field):
@@ -370,8 +372,12 @@ class TestCoverage:
 
     @pytest.mark.parametrize(
         "raw, problem",
-        [("", "the percentile list is empty"), ("15,abc", "could not convert string to float: 'abc'")],
-        ids=["empty", "not-a-number"],
+        [
+            ("", "the percentile list is empty"),
+            ("15,abc", "could not convert string to float: 'abc'"),
+            ("15,85,15.0", "percentile 15.0 is repeated"),
+        ],
+        ids=["empty", "not-a-number", "repeated"],
     )
     def test_bad_percentiles_flag_fails_naming_it(self, workspace, trained, tmp_path, capsys, raw, problem):
         std, _ = trained
@@ -382,6 +388,27 @@ class TestCoverage:
         assert f"--percentiles: {problem}" in capsys.readouterr().err
         assert not out.exists()
         assert (tmp_path / "cov.csv.status").read_text().startswith("failed")
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [(",", "the method list is empty"), ("saliency,deeplift,saliency", "method 'saliency' is repeated")],
+        ids=["empty", "repeated"],
+    )
+    @pytest.mark.parametrize("command", ["coverage", "attribute"])
+    def test_empty_or_repeated_methods_flag_fails_naming_it(
+        self, workspace, trained, tmp_path, capsys, command, raw, problem
+    ):
+        # Either would exit 0 with a header-only CSV or with duplicate rows.
+        std, _ = trained
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(workspace / "rm.json"), "--methods", raw, "--out", str(out)]
+        if command == "coverage":
+            argv += ["--models", str(std)]
+        else:
+            argv += ["--model", str(std), "--images", "img_0000"]
+        assert main(argv) != 0
+        assert f"--methods: {problem}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] in (["out.status"], ["run-status.txt"])
 
     def test_manifest_baselines_reach_the_table(self, workspace, trained, tmp_path):
         # coverage must score the maps attribute exports: mean IG baseline and

@@ -232,6 +232,21 @@ class TestCoverageTable:
         with pytest.raises(ValueError, match="gradcam"):
             coverage_table({"m": model}, ["gradcam"], [15], ds, ds.annotations)
 
+    @pytest.mark.parametrize(
+        "methods, percentiles, problem",
+        [
+            ([], [15], "the method list is empty"),
+            (["saliency", "deeplift", "saliency"], [15], "method 'saliency' is repeated"),
+            (["saliency"], [15, 85, 15.0], "percentile 15.0 is repeated"),
+        ],
+        ids=["no-methods", "repeated-method", "repeated-percentile"],
+    )
+    def test_empty_or_repeated_lists_rejected(self, table_setup, methods, percentiles, problem):
+        # Either would give a table with no rows or with identical rows.
+        ds, model = table_setup
+        with pytest.raises(ValueError, match=problem):
+            coverage_table({"m": model}, methods, percentiles, ds, ds.annotations)
+
     def test_unknown_image_in_annotations_rejected(self, table_setup):
         ds, model = table_setup
         ann = AnnotationSet(entries={"img_9999": ((1, 1),)})

@@ -6,6 +6,8 @@
 # A third manifest, all.json, sets every run-manifest key explicitly, most
 # of them away from their defaults, and drives a warm-started adversarial
 # training run, a robustness CSV, heatmaps and a coverage table of its own.
+# A fourth, occ1.json, takes occlusion maps with a 2x2 patch at stride 1:
+# 961 variants per image, so occlusion runs in several forward passes.
 #
 #   tools/cli_tree.sh TREE OUT      (under 10 s on a 2-vCPU host)
 #
@@ -62,6 +64,14 @@ cat >"$out/all.json" <<JSON
 }
 JSON
 
+cat >"$out/occ1.json" <<JSON
+{
+  "seed": 5,
+  "dataset": "data/dataset.txt",
+  "occlusion": {"patch": [2, 2], "stride": [1, 1]}
+}
+JSON
+
 fm train --manifest "$out/zero.json" --mode standard --out "$out/models/std.mwf"
 fm train --manifest "$out/zero.json" --mode adversarial --out "$out/models/adv.mwf"
 fm attack --manifest "$out/zero.json" --models "$out/models/std.mwf" "$out/models/adv.mwf" \
@@ -73,6 +83,9 @@ for ref in zero mean; do
     fm coverage --manifest "$out/$ref.json" --models "$out/models/std.mwf" "$out/models/adv.mwf" \
         --methods "$methods" --out "$out/coverage_$ref.csv"
 done
+# shellcheck disable=SC2086
+fm attribute --manifest "$out/occ1.json" --model "$out/models/std.mwf" --methods occlusion \
+    --images $images --out "$out/maps_occ1"
 fm train --manifest "$out/all.json" --mode adversarial --init "$out/models/std.mwf" \
     --out "$out/models/all_adv.mwf"
 fm attack --manifest "$out/all.json" --models "$out/models/std.mwf" "$out/models/all_adv.mwf" \
