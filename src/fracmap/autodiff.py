@@ -83,12 +83,19 @@ def _run_forward(model, xb, record: bool, start: int = 0):
     return cur, records
 
 
+def _check_nonempty(xb):
+    """Reject a batch of no images, which no layer can evaluate."""
+    if len(xb) == 0:
+        raise ModelError(f"batch of shape {xb.shape} holds no images")
+
+
 def forward_batch(model, xb: np.ndarray):
     """Evaluate a batch of images, returning (logits array (N, K), tape)."""
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 4:
         raise ValueError(f"batched input must be (N, C, H, W), got shape {xb.shape}")
     model.check_input_shape(xb.shape[1:])
+    _check_nonempty(xb)
     logits, records = _run_forward(model, xb, record=True)
     return logits, Tape(model=model, records=records, logits=logits)
 
@@ -117,6 +124,7 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
         model.check_input_shape(x.shape)
         if x_array.ndim != 4 or x_array.shape[1] != x.shape[0]:
             raise ModelError(f"boxes of shape {x_array.shape} are not (n, {x.shape[0]}, bh, bw)")
+        _check_nonempty(x_array)
         if rows.shape != (len(x_array),) or cols.shape != rows.shape:
             raise ModelError(f"{len(x_array)} boxes, offsets of shapes {rows.shape}, {cols.shape}")
         (bh, bw), (h, w) = x_array.shape[2:], x.shape[1:]
@@ -126,6 +134,7 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
     single = x_array.ndim == 3
     xb = x_array[None] if single else x_array
     model.check_input_shape(xb.shape[1:])
+    _check_nonempty(xb)
     out, _ = _run_forward(model, xb, record=False)
     return out[0] if single else out
 

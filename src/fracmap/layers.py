@@ -47,8 +47,8 @@ else shares the batch (README, "Speed and exactness"):
   are contiguous slices of one zeroed buffer of row-pitched, zero-padded
   planes (``_pitched``, saved as ``xp``), each plane starting on a
   GEMM_TILE column, so BLAS sums every column with its full-tile kernel.
-  The input gradient adds each offset's product into a shifted slice of a
-  pitched ``gx``; the weight gradient is a per-image GEMM and a batch sum.
+  The input gradient runs the same loop over ``gy`` with the flipped,
+  transposed kernel; the weight gradient is a per-image GEMM and a batch sum.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
   and routes each window's gradient to the first view equal to ``y`` by bit
   select, the bytes of ``np.where(hit, gy, 0.0)`` without its temporaries.
@@ -241,43 +241,47 @@ class Conv2d(_Affine):
         planes = buf[:, : n * stride].reshape(c, n, stride)[:, :, : hp * wp]
         return buf, planes.reshape(c, n, hp, wp), stride
 
-    def forward(self, params, x):
-        # Per block of images and kernel offset, one channel-first GEMM
-        # (O x C) @ (C x columns): each output sums over C inside one product
-        # and over offsets in row-major order, as per image. With C == 1 the
-        # product has K = 1, so a broadcast multiply is exact. An offset's
-        # columns are a slice of the pitched buffer.
-        w = params[f"{self.name}.weight"]
-        b = params[f"{self.name}.bias"]
-        ph, pw = self._pads()
+    def _correlate(self, x, taps, pads, bias=None):
+        """x, zero-padded by ``pads``, correlated with ``taps``, a list of
+        ((dh, dw), matrix) pairs, plus ``bias``; and x's padded planes.
+
+        Per block of images, each output column sums, from +0.0 and in list
+        order, one channel-first GEMM (rows x C) @ (C x columns) per tap,
+        whose columns are a slice of the pitched buffer dh * wp + dw on. With
+        C == 1 the product has K = 1 and a broadcast multiply is exact.
+        """
+        ph, pw = pads
         n, c, h, wdt = x.shape
-        o = self.out_channels
+        rows = taps[0][1].shape[0]
         hp, wp = h + 2 * ph, wdt + 2 * pw
         buf, planes, stride = self._pitched(n, c, hp, wp)
         xp = planes.transpose(1, 0, 2, 3)
         xp[:, :, ph : ph + h, pw : pw + wdt] = x
         oh, ow = hp - self.kernel_h + 1, wp - self.kernel_w + 1
-        y = np.empty((n, o, oh, ow), dtype=np.float64)
+        y = np.empty((n, rows, oh, ow), dtype=np.float64)
         step = self._block(oh, ow)
         for i in range(0, n, step):
             k = min(step, n - i)
-            acc = np.zeros((o, k * stride), dtype=np.float64)
-            for dh, dw in self._offsets():
+            acc = np.zeros((rows, k * stride), dtype=np.float64)
+            for (dh, dw), m in taps:
                 xs = buf[:, i * stride + dh * wp + dw :][:, : k * stride]
-                if c == 1:
-                    acc += w[:, 0, dh, dw][:, None] * xs
-                else:
-                    acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
-            acc += b[:, None]
-            acc = acc.reshape(o, k, stride)[:, :, : hp * wp].reshape(o, k, hp, wp)
+                acc += m * xs if c == 1 else m @ xs
+            if bias is not None:
+                acc += bias[:, None]
+            acc = acc.reshape(rows, k, stride)[:, :, : hp * wp].reshape(rows, k, hp, wp)
             y[i : i + k] = acc[..., :oh, :ow].transpose(1, 0, 2, 3)
+        return y, xp
+
+    def forward(self, params, x):
+        w = params[f"{self.name}.weight"]
+        taps = [((dh, dw), np.ascontiguousarray(w[:, :, dh, dw])) for dh, dw in self._offsets()]
+        y, xp = self._correlate(x, taps, self._pads(), params[f"{self.name}.bias"])
         return y, {"xp": xp}
 
     def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
         xp = saved["xp"]
-        n, c, o = gy.shape[0], self.in_channels, self.out_channels
-        oh, ow = gy.shape[2], gy.shape[3]
+        (n, o, oh, ow), c = gy.shape, self.in_channels
         grads = {}
         if f"{self.name}.bias" in grad_names:
             grads[f"{self.name}.bias"] = gy.sum(axis=(0, 2, 3))
@@ -292,29 +296,14 @@ class Conv2d(_Affine):
             grads[f"{self.name}.weight"] = gw
         if not input_grad:
             return None, grads
-        # Blocked like forward: per offset, one (C x O) @ (O x columns)
-        # product, added into the padded gradient in row-major offset order.
-        # gy and gx are laid out as forward lays out x, and each whole
-        # product, flattened, is added into gx flattened and shifted by the
-        # offset: a row's last columns, which wrap into the next row, are
-        # products of gy's zeroed tail.
-        ph, pw = self._pads()
-        hp, wp = xp.shape[2:]
-        h, wdt = hp - 2 * ph, wp - 2 * pw
-        gx = np.empty((n, c, h, wdt), dtype=np.float64)
-        step = self._block(oh, ow)
-        for i in range(0, n, step):
-            k = min(step, n - i)
-            gyb, gyp, _ = self._pitched(k, o, hp, wp)
-            gyp[:, :, :oh, :ow] = gy[i : i + k].transpose(1, 0, 2, 3)
-            # A spare channel row takes the last row's wrapped columns.
-            gxb, gxp, _ = self._pitched(k, c + 1, hp, wp)
-            gxf, gxp = gxb.reshape(-1), gxp[:c]
-            for dh, dw in self._offsets():
-                gxs = np.ascontiguousarray(w[:, :, dh, dw]).T @ gyb
-                gxf[dh * wp + dw :][: gxs.size] += gxs.reshape(-1)
-            gx[i : i + k] = gxp[:, :, ph : ph + h, pw : pw + wdt].transpose(1, 0, 2, 3)
-        return gx, grads
+        # Forward's correlation over gy padded by k - 1 - p, with the kernel
+        # flipped and transposed; the taps keep forward's offset order.
+        (kh, kw), (ph, pw) = (self.kernel_h, self.kernel_w), self._pads()
+        taps = [
+            ((kh - 1 - dh, kw - 1 - dw), np.ascontiguousarray(w[:, :, dh, dw]).T)
+            for dh, dw in self._offsets()
+        ]
+        return self._correlate(gy, taps, (kh - 1 - ph, kw - 1 - pw))[0], grads
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,16 @@ class TestPgd:
         p_after = softmax(forward_values(quick_model, adv)[None])[0, y]
         assert p_after < p_before
 
+    def test_each_image_gets_its_batch_of_one_attack(self, quick_model, quick_dataset):
+        # Every layer gives a row its batch-of-one bytes, and the loss
+        # gradient is per example, so no image's attack depends on its batch.
+        cfg = AttackConfig(epsilon=EPS, step_size=1 / 255, iters=3)
+        xb, yb = next(quick_dataset.batches("test", 11))
+        adv = pgd_batch(quick_model, xb, yb, cfg)
+        for j in range(len(xb)):
+            one = pgd_batch(quick_model, xb[j : j + 1], yb[j : j + 1], cfg)
+            assert adv[j].tobytes() == one[0].tobytes(), j
+
 
 class TestAdvAccuracy:
     def test_zero_epsilon_equals_clean_accuracy(self, quick_model, quick_dataset):
@@ -145,6 +155,15 @@ class TestAdvAccuracy:
         assert calls == []
         assert adv_accuracy(quick_model, quick_dataset, "test", cfg) == sum(adv) / len(adv)
         assert calls == [len(yb) for _, yb in batches for _ in range(cfg.iters)]
+
+    def test_accuracy_does_not_depend_on_the_eval_batch(self, quick_model, quick_dataset, monkeypatch):
+        cfg = AttackConfig(epsilon=EPS, step_size=2 / 255, iters=2)
+        clean = evaluate(quick_model, quick_dataset, "test")
+        adv = adv_accuracy(quick_model, quick_dataset, "test", cfg)
+        monkeypatch.setattr("fracmap.attack.EVAL_BATCH", 7)
+        assert len(quick_dataset.split_indices("test")) % 7 != 0  # a short last batch
+        assert evaluate(quick_model, quick_dataset, "test") == clean
+        assert adv_accuracy(quick_model, quick_dataset, "test", cfg) == adv
 
 
 class TestDeltaAcc:

@@ -75,6 +75,12 @@ class TestForward:
         logits, _ = forward(m, rand_image(5, m.input_shape))
         assert logits.shape == (3,)
 
+    @pytest.mark.parametrize("entry", [forward_batch, forward_values], ids=["forward_batch", "forward_values"])
+    def test_empty_batch_rejected(self, entry):
+        m = tiny_cnn(1, input_shape=(1, 32, 32))
+        with pytest.raises(ModelError, match=r"batch of shape \(0, 1, 32, 32\) holds no images"):
+            entry(m, np.zeros((0, 1, 32, 32)))
+
 
 class TestTape:
     def test_tape_is_single_use(self):
@@ -351,8 +357,9 @@ class TestForwardFromBase:
             ((1, 32, 32), (2, 1, 4, 4), [0, 0, 0], [0, 0, 0], "offsets of shapes"),
             ((1, 32, 32), (2, 1, 4, 4), [0, 28], [-1, 0], "does not fit"),
             ((1, 32, 32), (2, 1, 4, 4), [0, 29], [0, 0], "does not fit"),
+            ((1, 32, 32), (0, 1, 4, 4), [], [], r"batch of shape \(0, 1, 4, 4\) holds no images"),
         ],
-        ids=["base-shape", "box-channels", "offset-count", "negative-offset", "past-the-edge"],
+        ids=["base-shape", "box-channels", "offset-count", "negative-offset", "past-the-edge", "no-boxes"],
     )
     def test_malformed_boxes_rejected(self, x_shape, boxes_shape, rows, cols, problem):
         model = tiny_cnn(1, input_shape=(1, 32, 32))

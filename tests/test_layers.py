@@ -55,6 +55,10 @@ CONV_CASES = [
     (3, 4, (7, 9), (3, 5), "same"),
     (8, 16, (16, 16), (3, 3), "same"),
     (8, 6, (10, 12), (3, 3), "valid"),
+    # One output channel: the input gradient correlates a single gy plane.
+    (3, 1, (10, 12), (3, 3), "same"),
+    # gy is padded by k - 1 per axis, 2 rows and 4 columns.
+    (4, 6, (13, 11), (3, 5), "valid"),
 ]
 
 
@@ -160,10 +164,14 @@ def _frozen_sample(c):
     return cases
 
 
+# One output channel, where the frozen input gradient runs a K = 1 GEMM.
+SINGLE_OUTPUT_CASES = [(1, (8, 8), 3, "same", 3), (1, (10, 12), 3, "valid", 8), (1, (16, 16), 5, "same", 1)]
+
+
 class TestConv2dFrozenKernel:
     @pytest.mark.parametrize("c", [1, 2, 3, 8, 16])
     def test_bytes_match_the_frozen_blocked_kernel(self, c):
-        for o, hw, k, padding, n in _frozen_sample(c):
+        for o, hw, k, padding, n in _frozen_sample(c) + SINGLE_OUTPUT_CASES:
             layer = Conv2d("cv", c, o, k, k, padding)
             ph, pw = layer._pads()
             rng = np.random.default_rng(n * 1000 + o * 10 + k)

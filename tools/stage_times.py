@@ -25,11 +25,14 @@ corpus from seed 5, the size the pipeline's maps are made at, explaining
 does not depend on the weights' values. The methods take turns, one image
 each, REPEATS rounds over the images.
 
-Last it prints a per-layer table: the median forward and backward time
-of every ``tiny_cnn(0)`` layer on one batch of 32 uniform 64x64 images
-(seed 0), over REPEATS rounds in which the layers take turns. Each
-layer's backward takes a standard normal output gradient and computes the
-input gradient and every parameter gradient the layer has.
+Last it prints a per-layer table: the median forward time of every
+``tiny_cnn(0)`` layer on one batch of 32 uniform 64x64 images (seed 0),
+and its backward time in two halves, over REPEATS rounds in which the
+layers take turns. Each backward takes a standard normal output gradient.
+The ``input grad`` column times the input gradient alone
+(``grad_names=frozenset()``); the ``param grads`` column times every
+parameter gradient the layer has, without the input gradient
+(``input_grad=False``), and reads ``-`` for a layer without parameters.
 
 BLAS is pinned to one thread, as in perfbench. Run it once on the parent
 commit's tree and once on a change's to compare the two.
@@ -72,11 +75,19 @@ def _timed(fn, repeats):
     return statistics.median(times), min(times), statistics.median(faults)
 
 
-def _layer_times(tiny_cnn, repeats):
-    """Median forward and backward seconds per tiny_cnn layer at batch 32.
+def _elapsed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - start
 
-    The layers take turns, one forward and one backward each per round, so
-    that a slow spell of a shared host spreads over all of them.
+
+def _layer_times(tiny_cnn, repeats):
+    """Median forward, input-gradient and parameter-gradient seconds per
+    tiny_cnn layer at batch 32; the last is None for a layer without
+    parameters.
+
+    The layers take turns, each running its passes once per round, so that
+    a slow spell of a shared host spreads over all of them.
     """
     import numpy as np
 
@@ -89,17 +100,18 @@ def _layer_times(tiny_cnn, repeats):
         gy = rng.standard_normal(out.shape)
         cases.append((layer, cur, saved, gy, frozenset(layer.param_names())))
         cur = out
-    times = {layer.name: ([], []) for layer, *_ in cases}
+    times = {layer.name: ([], [], []) for layer, *_ in cases}
     for _ in range(repeats):
         for layer, x, saved, gy, names in cases:
-            fwd, bwd = times[layer.name]
-            start = time.perf_counter()
-            layer.forward(model.params, x)
-            fwd.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            layer.backward(model.params, saved, gy, names)
-            bwd.append(time.perf_counter() - start)
-    return [(name, statistics.median(f), statistics.median(b)) for name, (f, b) in times.items()]
+            fwd, gx, gp = times[layer.name]
+            fwd.append(_elapsed(layer.forward, model.params, x))
+            gx.append(_elapsed(layer.backward, model.params, saved, gy, frozenset()))
+            if names:
+                gp.append(_elapsed(layer.backward, model.params, saved, gy, names, input_grad=False))
+    return [
+        (name, statistics.median(f), statistics.median(g), statistics.median(p) if p else None)
+        for name, (f, g, p) in times.items()
+    ]
 
 
 def _map_times(repeats):
@@ -173,9 +185,10 @@ def main(argv=None) -> int:
     for method, ms in _map_times(repeats).items():
         print(f"{method:<20} {ms:7.2f}")
     print(f"tiny_cnn layers at batch {LAYER_BATCH}, {LAYER_INPUT}: median ms over {repeats} rounds")
-    print("layer  forward  backward")
-    for name, fwd, bwd in _layer_times(tiny_cnn, repeats):
-        print(f"{name:<6} {1e3 * fwd:7.2f}  {1e3 * bwd:8.2f}")
+    print("layer  forward  input grad  param grads")
+    for name, fwd, gx, gp in _layer_times(tiny_cnn, repeats):
+        params = "-" if gp is None else f"{1e3 * gp:.2f}"
+        print(f"{name:<6} {1e3 * fwd:7.2f}  {1e3 * gx:10.2f}  {params:>11}")
     return 0
 
 
