@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 MAP_BATCH = 64  # images per IG forward/backward pass
-# Most variants per occlusion forward pass, which bounds memory: an
-# 8x8/stride-4 map of a 64x64 image (225 variants) takes one pass.
-OCCLUSION_BATCH = 256
 
 
 class MapError(ValueError):
@@ -176,26 +173,22 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
 
     Per-channel mode records one drop per occluded channel and sums them; the
     strided score grid is upsampled to pixel resolution by covering-average.
-    Each variant is its patch box, which ``forward_values(..., base=)``
-    writes into ``x`` and recomputes only where it reaches, in passes of at
-    most OCCLUSION_BATCH boxes. Every layer gives an image the same bytes in
-    any batch, so an unchanged patch scores exactly 0.
+    One ``forward_values(..., base=)`` call scores every variant as its
+    patch box, and a last box of ``x``'s own pixels, whose row is the clean
+    logit. Every layer gives an image the same bytes in any batch, so an
+    unchanged patch scores exactly 0.
     """
     model.check_class(c)
     positions = _occlusion_grid(x.shape, cfg)
     k = x.shape[0] if cfg.per_channel else 1  # variants per position
-    rows, cols = np.repeat(np.array(positions), k, axis=0).T
+    rows, cols = np.vstack([np.repeat(positions, k, axis=0), [(0, 0)]]).T
     img = x.array
     windows = np.lib.stride_tricks.sliding_window_view(img, (cfg.patch_h, cfg.patch_w), axis=(1, 2))
     boxes = windows[:, rows, cols].swapaxes(0, 1)
     for ch in range(k):
-        boxes[ch::k, ch if cfg.per_channel else slice(None)] = cfg.baseline_value
-    logits = np.empty(len(boxes))
-    for start in range(0, len(boxes), OCCLUSION_BATCH):
-        part = slice(start, start + OCCLUSION_BATCH)
-        logits[part] = forward_values(model, boxes[part], base=(img, rows[part], cols[part]))[:, c]
-    drops = forward_values(model, img)[c] - logits
-    scores = drops.reshape(len(positions), -1).sum(axis=1)
+        boxes[ch:-1:k, ch if cfg.per_channel else slice(None)] = cfg.baseline_value
+    logits = forward_values(model, boxes, base=(img, rows, cols))[:, c]
+    scores = (logits[-1] - logits[:-1]).reshape(len(positions), -1).sum(axis=1)
 
     return AttributionMap(
         values=_upsample_covering(x.shape, scores, cfg),

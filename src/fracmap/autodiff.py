@@ -15,7 +15,9 @@ and attack loops, while the single-image API wraps a batch of one.
 that are ``x`` with box j written at ``(rows[j], cols[j])``, as occlusion
 variants are: through the model's local prefix each carries only what its
 box reaches, and the result has the bytes of a plain pass over those full
-images. README, "Speed and exactness", gives the windowing rule.
+images. ``x``'s own prefix runs once per call, and the boxes run in passes
+of at most ``OCCLUSION_BATCH``, which bounds memory. README, "Speed and
+exactness", gives the windowing rule.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -45,6 +47,8 @@ __all__ = [
     "numeric_gradient",
     "kink_margin",
 ]
+
+OCCLUSION_BATCH = 256  # most boxes per pass of forward_values(..., base=)
 
 
 class TapeError(RuntimeError):
@@ -163,49 +167,54 @@ def _reach(k, st, p, size, n):
     return np.minimum(oa, m - out), out, (out - 1) * st + k
 
 
-def _gather(a, size, images, rows, cols):
-    """One array of the boxes a[images[j], :, rows[j]:rows[j] + size[0],
-    cols[j]:cols[j] + size[1]], one per j."""
-    return np.lib.stride_tricks.sliding_window_view(a, size, axis=(2, 3))[images, :, rows, cols]
+def _gather(a, size, rows, cols):
+    """One (n, C, size[0], size[1]) array of the windows of the (C, H, W)
+    plane ``a`` at ``(rows[j], cols[j])``, one per j."""
+    view = np.lib.stride_tricks.sliding_window_view(a, size, axis=(1, 2))
+    return view.transpose(1, 2, 0, 3, 4)[rows, cols]
 
 
-def _paste(a, boxes, images, rows, cols):
-    """Write box j of ``boxes`` into ``a`` where ``_gather`` would read it."""
+def _paste(a, boxes, rows, cols):
+    """Write box j of ``boxes`` into image j of ``a`` at ``(rows[j], cols[j])``."""
     view = np.lib.stride_tricks.sliding_window_view(a, boxes.shape[2:], axis=(2, 3), writeable=True)
-    view[images, :, rows, cols] = boxes
+    view[np.arange(len(a)), :, rows, cols] = boxes
 
 
-def _forward_from_base(model, band, x, pr, pc):
-    """``forward_values`` with ``base``: each box of ``band`` goes through
-    the local prefix at its own offset (``pr``, ``pc``), in a window of
-    ``x``'s activations; then the boxes are spliced into copies of ``x``'s
-    activations and the rest of the model runs over the whole batch at once."""
+def _forward_from_base(model, boxes, x, rows, cols):
+    """``forward_values`` with ``base``: ``x`` runs through the local prefix
+    once. Per pass of at most OCCLUSION_BATCH boxes, each box then goes
+    through it at its own offset, in windows of ``x``'s activations, and is
+    spliced into a copy of ``x``'s last one for the rest of the model."""
     n_prefix = _local_prefix(model)
-    acts = []  # x's input to each prefix layer, a conv's zero-padded as its forward saves it
+    acts = []  # x's input plane to each prefix layer, a conv's zero-padded as its forward saves it
     cur = x[None]
     for layer in model.layers[:n_prefix]:
         out, saved = layer.forward(model.params, cur)
-        acts.append(saved["xp"] if layer.kind == "conv2d" else cur)
+        acts.append(saved["xp"][0] if layer.kind == "conv2d" else cur[0])
         cur = out
-    cur = np.repeat(cur, len(band), axis=0)
-    (br, bc), images = band.shape[2:], np.arange(len(band))
-    for layer, act in zip(model.layers[:n_prefix], acts):
-        if layer.kind == "conv2d":
-            (dr, dc), (kr, kc), st = layer._pads(), (layer.kernel_h, layer.kernel_w), 1
-            layer = replace(layer, padding="valid")
-        elif layer.kind == "maxpool2":
-            (dr, dc), (kr, kc), st = (0, 0), (2, 2), 2
-        else:
-            band = layer.forward(model.params, band)[0]
-            continue
-        qr, oh, wh = _reach(kr, st, pr + dr, br, act.shape[2])
-        qc, ow, ww = _reach(kc, st, pc + dc, bc, act.shape[3])
-        win = _gather(act, (wh, ww), np.zeros_like(images), st * qr, st * qc)
-        _paste(win, band, images, pr + dr - st * qr, pc + dc - st * qc)
-        band = layer.forward(model.params, win)[0]
-        pr, br, pc, bc = qr, oh, qc, ow
-    _paste(cur, band, images, pr, pc)
-    return _run_forward(model, cur, record=False, start=n_prefix)[0]
+    logits = []
+    for start in range(0, len(boxes), OCCLUSION_BATCH):
+        part = slice(start, start + OCCLUSION_BATCH)
+        band, (br, bc), pr, pc = boxes[part], boxes.shape[2:], rows[part], cols[part]
+        for layer, act in zip(model.layers[:n_prefix], acts):
+            if layer.kind == "conv2d":
+                (dr, dc), (kr, kc), st = layer._pads(), (layer.kernel_h, layer.kernel_w), 1
+                layer = replace(layer, padding="valid")
+            elif layer.kind == "maxpool2":
+                (dr, dc), (kr, kc), st = (0, 0), (2, 2), 2
+            else:
+                band = layer.forward(model.params, band)[0]
+                continue
+            qr, oh, wh = _reach(kr, st, pr + dr, br, act.shape[1])
+            qc, ow, ww = _reach(kc, st, pc + dc, bc, act.shape[2])
+            win = _gather(act, (wh, ww), st * qr, st * qc)
+            _paste(win, band, pr + dr - st * qr, pc + dc - st * qc)
+            band = layer.forward(model.params, win)[0]
+            pr, br, pc, bc = qr, oh, qc, ow
+        top = np.repeat(cur, len(band), axis=0)
+        _paste(top, band, pr, pc)
+        logits.append(_run_forward(model, top, record=False, start=n_prefix)[0])
+    return np.concatenate(logits)
 
 
 def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):
@@ -331,8 +340,7 @@ def kink_margin(model, x: Tensor) -> float:
         if layer.kind == "relu":
             margin = min(margin, float(np.min(np.abs(cur))))
         elif layer.kind == "maxpool2":
-            win = np.stack(layer._views(cur), axis=-1)
-            top2 = np.sort(win, axis=-1)[..., -2:]
+            top2 = np.sort(np.stack(layer._views(cur), axis=-1), axis=-1)[..., -2:]
             gaps = top2[..., 1] - top2[..., 0]
             live = top2[..., 1] != 0.0
             if np.any(live):

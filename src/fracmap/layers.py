@@ -49,9 +49,9 @@ else shares the batch (README, "Speed and exactness"):
   GEMM_TILE column, so BLAS sums every column with its full-tile kernel.
   The input gradient runs the same loop over ``gy`` with the flipped,
   transposed kernel; the weight gradient is a per-image GEMM and a batch sum.
-* ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``
-  and routes each window's gradient to the first view equal to ``y`` by bit
-  select, the bytes of ``np.where(hit, gy, 0.0)`` without its temporaries.
+* ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``.
+  Gradient and multipliers route to the first view equal to ``y``
+  (``_first_max``); the gradient by bit select, without temporaries.
 * ``Dense`` runs ``x @ w.T`` and ``gy @ w`` as one GEMM per block of
   GEMM_TILE rows, the last block zero-padded, so every row comes from a full
   tile of a GEMM of one size. A plain ``x @ w.T`` gives a row other last
@@ -63,6 +63,7 @@ else shares the batch (README, "Speed and exactness"):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -348,10 +349,19 @@ class MaxPool2(_Layer):
 
     @staticmethod
     def _views(x):
-        # The four window cells as strided views, in row-major window order;
-        # stacked along a last axis, argmax's first-maximum rule matches the
-        # documented tie-breaking.
+        # The four window cells as strided views, in row-major window order.
         return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+    @staticmethod
+    def _first_max(views, y):
+        """Per view, the mask of the windows whose first cell equal to their
+        maximum ``y`` it holds (none if ``y`` is NaN), in one reused buffer."""
+        unrouted, hit = np.ones(y.shape, dtype=bool), np.empty(y.shape, dtype=bool)
+        for v in views:
+            np.equal(v, y, out=hit)
+            hit &= unrouted
+            unrouted ^= hit
+            yield hit
 
     def forward(self, params, x):
         # np.maximum returns its second operand on a tie (-0.0 vs +0.0), so
@@ -363,45 +373,34 @@ class MaxPool2(_Layer):
         return y, {"x": x, "y": y}
 
     def backward(self, params, saved, gy, grad_names):
-        # Route gy to the first view, in row-major order, that equals the
-        # max; every other cell gets +0.0. Multiplying gy's bit patterns by
-        # the 0/1 hit mask keeps them exactly, -0.0 and NaN included.
+        # gy goes to the first maximum, +0.0 elsewhere: multiplying its bit
+        # patterns by the 0/1 hit mask keeps them exactly, -0.0 and NaN too.
         x, y = saved["x"], saved["y"]
         gx = np.empty(x.shape, dtype=np.float64)
         gy_bits = np.asarray(gy, dtype=np.float64).view(np.uint64)
-        unrouted = np.ones(y.shape, dtype=bool)
-        hit = np.empty(y.shape, dtype=bool)
-        for v, g in zip(self._views(x), self._views(gx.view(np.uint64))):
-            np.equal(v, y, out=hit)
-            hit &= unrouted
-            unrouted ^= hit
+        for g, hit in zip(self._views(gx.view(np.uint64)), self._first_max(self._views(x), y)):
             np.multiply(gy_bits, hit, out=g)
         return gx, {}
 
     def multipliers(self, params, saved_x, saved_ref, m_out):
-        # Route each window's multiplier to the forward-pass argmax, rescaled
-        # so the routed contribution equals m_out * (max_x - max_ref) exactly.
-        # When the argmax cell's own delta is negligible, spread the output
-        # delta across the window proportionally to the squared cell deltas
-        # instead; identical windows contribute exactly zero either way.
-        win_x = np.stack(self._views(saved_x["x"]), axis=-1)
-        win_ref = np.stack(self._views(saved_ref["x"]), axis=-1)
-        idx = np.argmax(win_x, axis=-1)[..., None]
-        dwin = win_x - win_ref
-        dy = np.take_along_axis(win_x, idx, axis=-1) - np.max(win_ref, axis=-1, keepdims=True)
-        d_amax = np.take_along_axis(dwin, idx, axis=-1)
-
-        wta = np.zeros_like(dwin)
-        np.put_along_axis(
-            wta, idx, dy / np.where(np.abs(d_amax) < RESCALE_FALLBACK, 1.0, d_amax), axis=-1
-        )
-        sq = np.sum(dwin * dwin, axis=-1, keepdims=True)
-        prop = dy * dwin / np.where(sq == 0.0, 1.0, sq)
-        use_wta = np.abs(d_amax) >= RESCALE_FALLBACK
-        mwin = m_out[..., None] * np.where(use_wta, wta, prop)
-        m_in = np.empty(saved_x["x"].shape, dtype=np.float64)
-        for k, v in enumerate(self._views(m_in)):
-            v[...] = mwin[..., k]
+        # Route each window's multiplier to its first maximum, rescaled so the
+        # routed contribution is m_out * (max_x - max_ref) exactly, or, if that
+        # cell's delta is negligible, spread by squared cell deltas. The
+        # reference's maximum is np.max's: maximum(acc, r), acc first.
+        x, y = saved_x["x"], saved_x["y"]
+        views, refs = self._views(x), self._views(saved_ref["x"])
+        dy = y - reduce(np.maximum, refs)
+        d = [v - r for v, r in zip(views, refs)]
+        den = sum(dk * dk for dk in d)  # ((d0^2 + d1^2) + d2^2) + d3^2
+        den[den == 0.0] = 1.0
+        d_max = np.zeros(y.shape, dtype=np.float64)
+        for dk, hit in zip(d, self._first_max(views, y)):
+            np.copyto(d_max, dk, where=hit)
+        use_wta = np.abs(d_max) >= RESCALE_FALLBACK
+        wta = dy / np.where(use_wta, d_max, 1.0)
+        m_in = np.empty(x.shape, dtype=np.float64)
+        for mk, dk, hit in zip(self._views(m_in), d, self._first_max(views, y)):
+            np.multiply(m_out, np.where(use_wta, np.where(hit, wta, 0.0), dy * dk / den), out=mk)
         return m_in
 
 

@@ -13,9 +13,9 @@ grid at creation (so a save/load round trip through PGM is exact), and split
 assignment is stratified with exact per-class counts.
 
 On disk a dataset is a manifest text file listing one image per line (path,
-id, label, split) plus header keys (seed, image size, annotation file), with
-images as binary PGM and annotations in the JSON format owned by the
-coverage module.
+id, label, split) plus header keys (seed, image size, class names,
+annotation file), with images as binary PGM and annotations in the JSON
+format owned by the coverage module.
 """
 
 from __future__ import annotations

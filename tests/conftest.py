@@ -88,6 +88,17 @@ def rand_image(seed: int, shape) -> Tensor:
     return Tensor(rng.uniform(0.0, 1.0, shape))
 
 
+def spy_layer_forwards(monkeypatch, model, calls):
+    """Append (layer name, batch size) to ``calls`` on every ``forward`` of
+    the classes of ``model``'s layers, until ``monkeypatch`` is undone."""
+    for cls in {type(layer) for layer in model.layers}:
+        def spied(layer, params, xb, _forward=cls.forward):
+            calls.append((layer.name, len(xb)))
+            return _forward(layer, params, xb)
+
+        monkeypatch.setattr(cls, "forward", spied)
+
+
 def write_boxes(x, boxes, rows, cols) -> np.ndarray:
     """The full images that ``forward_values(model, boxes, base=(x, rows,
     cols))`` stands for: ``x`` with box j written at (rows[j], cols[j])."""

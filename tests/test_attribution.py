@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracmap.attribution import (
     MAP_BATCH,
     METHODS,
-    OCCLUSION_BATCH,
     AttributionMap,
     MapError,
     OcclusionConfig,
@@ -25,13 +24,13 @@ from fracmap.attribution import (
     write_heatmap,
 )
 from fracmap.attribution import _occlusion_grid, _upsample_covering
-from fracmap.autodiff import forward_values, kink_margin, numeric_gradient
+from fracmap.autodiff import OCCLUSION_BATCH, forward_values, kink_margin, numeric_gradient
 from fracmap.model import tiny_cnn
 from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
 from fracmap.tensor import Tensor
 
-from conftest import linear_model, rand_image, random_cnn, write_boxes
+from conftest import linear_model, rand_image, random_cnn, spy_layer_forwards, write_boxes
 
 
 def zeros_like_input(model):
@@ -164,11 +163,11 @@ class TestOcclusion:
         assert occlusion(m, x, 1, cfg).values.tobytes() == expect.tobytes()
 
     def test_stride_one_map_runs_in_bounded_chunks_and_equals_plain_passes(self, monkeypatch):
-        # A 2x2 patch at stride 1 on 64x64: 3,969 variants in passes of at
-        # most OCCLUSION_BATCH boxes with a short last one, and one plain
-        # pass of the clean image. The head has 2,048 features, past the
-        # size where a plain 256-row GEMM takes another BLAS kernel than a
-        # short one, and the unchanged patch at (0, 0) still scores exactly 0.
+        # A 2x2 patch at stride 1 on 64x64: 3,969 variants and the clean
+        # image's box in one forward_values call, whose layers see passes of
+        # at most OCCLUSION_BATCH images. The head has 2,048 features, past
+        # the size where a plain 256-row GEMM takes another BLAS kernel than
+        # a short one, and the unchanged patch at (0, 0) still scores exactly 0.
         m = random_cnn(seed=12, input_shape=(1, 64, 64), channels=(4, 8))
         img = rand_image(12, (1, 64, 64)).array.copy()
         img[:, :2, :2] = 0.0
@@ -176,21 +175,29 @@ class TestOcclusion:
         cfg = OcclusionConfig(patch_h=2, patch_w=2, stride_h=1, stride_w=1)
         positions = _occlusion_grid(x.shape, cfg)
         assert len(positions) == 3969
-        calls = []
+        calls, batches = [], []
 
         def recorded(model, xb, **kwargs):
             calls.append((xb.copy(), kwargs.get("base")))
             return forward_values(model, xb, **kwargs)
 
         monkeypatch.setattr("fracmap.attribution.forward_values", recorded)
+        spy_layer_forwards(monkeypatch, m, batches)
         amap = occlusion(m, x, 0, cfg)
-        passes = [(boxes, base) for boxes, base in calls if base is not None]
-        assert [len(boxes) for boxes, _ in passes] == [OCCLUSION_BATCH] * 15 + [129]
-        assert [base for _, base in calls if base is None] == [None]
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert max(n for _, n in batches) == OCCLUSION_BATCH
         assert amap.values[0, 0] == 0.0
-        # The plain-pass oracle: the full images of every pass, and the
-        # clean image, evaluated without a base.
-        logits = [forward_values(m, write_boxes(base[0], boxes, *base[1:]))[:, 0] for boxes, base in passes]
+        # The last box writes the clean image's own pixels back.
+        (boxes, (base, rows, cols)), = calls
+        assert (rows[-1], cols[-1]) == (0, 0) and boxes[-1].tobytes() == img[:, :2, :2].tobytes()
+        # The plain-pass oracle: the full images of every variant, in passes
+        # of OCCLUSION_BATCH, and the clean image, evaluated without a base.
+        boxes, rows, cols = boxes[:-1], rows[:-1], cols[:-1]
+        logits = [
+            forward_values(m, write_boxes(base, boxes[part], rows[part], cols[part]))[:, 0]
+            for part in (slice(s, s + OCCLUSION_BATCH) for s in range(0, len(boxes), OCCLUSION_BATCH))
+        ]
         scores = forward_values(m, img)[0] - np.concatenate(logits)
         assert amap.values.tobytes() == covering_average(x.shape, positions, scores, cfg).tobytes()
 

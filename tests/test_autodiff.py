@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.autodiff import (
+    OCCLUSION_BATCH,
     TapeError,
     backward,
     backward_batch,
@@ -27,7 +28,7 @@ from fracmap.layers import Conv2d, Dense, Flatten, ReLU
 from fracmap.model import Model, ModelError, tiny_cnn
 from fracmap.tensor import Tensor
 
-from conftest import frozen_backbone, linear_model, rand_image, random_cnn, write_boxes
+from conftest import frozen_backbone, linear_model, rand_image, random_cnn, spy_layer_forwards, write_boxes
 
 
 def passthrough_tail(n, prefix_layers, input_shape, params=None):
@@ -348,6 +349,56 @@ class TestForwardFromBase:
         model, base, boxes, rows, cols = case
         plain = forward_values(model, write_boxes(base, boxes, rows, cols))
         assert forward_values(model, boxes, base=(base, rows, cols)).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize(
+        "model, per_channel",
+        [
+            (tiny_cnn(1, input_shape=(1, 32, 32)), False),
+            (tiny_cnn(2, input_shape=(3, 32, 32)), False),
+            (tiny_cnn(2, input_shape=(3, 32, 32)), True),
+            (random_cnn(seed=10, input_shape=(3, 9, 7), channels=(4, 8), pool=False), True),
+        ],
+        ids=["1ch", "3ch", "3ch_per_channel", "odd_planes_per_channel"],
+    )
+    def test_box_of_own_pixels_gives_a_plain_pass_of_x(self, model, per_channel):
+        # Among patch boxes, a box that writes x's own pixels back, at any
+        # offset, is x itself, with the bytes of a batch-of-one plain pass.
+        x = rand_image(17, model.input_shape).array
+        boxes, rows, cols = patch_boxes(x, 3, 2, per_channel)
+        (h, w), own = x.shape[1:], []
+        for r, q in [(0, 0), (1, 2), (h - 3, w - 3), (h // 2, 0)]:
+            own.append(len(boxes))
+            boxes = np.concatenate([boxes, x[None, :, r : r + 3, q : q + 3]])
+            rows, cols = np.append(rows, r), np.append(cols, q)
+        clean = forward_values(model, x)
+        out = forward_values(model, boxes, base=(x, rows, cols))
+        for row in [0] + own:
+            assert out[row].tobytes() == clean.tobytes()
+
+    def test_prefix_of_x_runs_once_per_call(self, monkeypatch):
+        # 600 boxes take three passes of at most OCCLUSION_BATCH (256, 256,
+        # 88), yet every layer of the local prefix runs on x as a batch of one
+        # exactly once.
+        model = tiny_cnn(3, input_shape=(1, 32, 32))
+        x = rand_image(18, model.input_shape).array
+        rng = np.random.default_rng(18)
+        rows, cols = rng.integers(0, 30, size=(2, 600))
+        boxes = rng.random((600, 1, 3, 3))
+        calls = []
+        spy_layer_forwards(monkeypatch, model, calls)
+        out = forward_values(model, boxes, base=(x, rows, cols))
+        monkeypatch.undo()
+        passes = [OCCLUSION_BATCH, OCCLUSION_BATCH, 600 - 2 * OCCLUSION_BATCH]
+        names = [layer.name for layer in model.layers]
+        for name in names[: names.index("flat")]:  # the local prefix
+            assert [n for layer, n in calls if layer == name] == [1] + passes
+        for name in ("flat", "head"):
+            assert [n for layer, n in calls if layer == name] == passes
+        plain = np.concatenate(
+            [forward_values(model, write_boxes(x, boxes[s : s + 100], rows[s : s + 100], cols[s : s + 100]))
+             for s in range(0, 600, 100)]
+        )
+        assert out.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize(
         "x_shape, boxes_shape, rows, cols, problem",

@@ -2,7 +2,8 @@
 
 Each kernel is checked against a direct loop: one dot product per output
 pixel for the convolution, one scan per window for max pooling. The loops
-share nothing with the layer code beyond the input arrays.
+share nothing with the layer code beyond the input arrays. Max pooling's
+DeepLIFT rule is checked against the same rule over stacked windows.
 """
 
 from __future__ import annotations
@@ -223,6 +224,43 @@ def _direct_pool_grad(x, gy):
     return gx
 
 
+def _stacked_pool_multipliers(x, ref, m_out):
+    """MaxPool2's DeepLIFT rule over the four window cells stacked on a last
+    axis: argmax routing with an exact-conservation ratio, or the squared-delta
+    spread when the argmax cell's own delta is below the rescale fallback."""
+    def win(a):
+        return np.stack([a[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)], axis=-1)
+
+    win_x, win_ref = win(x), win(ref)
+    idx = np.argmax(win_x, axis=-1)[..., None]
+    dwin = win_x - win_ref
+    dy = np.take_along_axis(win_x, idx, axis=-1) - np.max(win_ref, axis=-1, keepdims=True)
+    d_amax = np.take_along_axis(dwin, idx, axis=-1)
+    wta = np.zeros_like(dwin)
+    np.put_along_axis(wta, idx, dy / np.where(np.abs(d_amax) < 1e-7, 1.0, d_amax), axis=-1)
+    sq = np.sum(dwin * dwin, axis=-1, keepdims=True)
+    prop = dy * dwin / np.where(sq == 0.0, 1.0, sq)
+    mwin = m_out[..., None] * np.where(np.abs(d_amax) >= 1e-7, wta, prop)
+    m_in = np.empty(x.shape)
+    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        m_in[:, :, i::2, j::2] = mwin[..., k]
+    return m_in
+
+
+def _special_pool_pair(rng, shape):
+    """An input and a reference with tied windows, +-0.0 and NaN cells,
+    identical windows, and cells whose delta is below the rescale fallback."""
+    x = rng.integers(-2, 3, size=shape) * 0.5
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.5] *= -1.0  # half the zeros become -0.0
+    step = rng.choice([0.0, -0.0, 1e-9, -1e-9, 0.5, -1.0, 0.3], size=shape)
+    ref = x - step
+    ref[:, :, 4:8] = x[:, :, 4:8]  # rows of identical windows
+    for a in (x, ref):
+        a[rng.random(shape) < 0.01] = np.nan
+    return x, ref
+
+
 def _tied_pool_input():
     rng = np.random.default_rng(7)
     x = rng.integers(-2, 3, size=(2, 3, 6, 8)).astype(np.float64)
@@ -294,3 +332,21 @@ class TestMaxPool2Oracle:
                 contrib = deeplift_contributions(model, Tensor(x), c, Tensor(ref))
                 delta = forward_values(model, x)[c] - forward_values(model, ref)[c]
                 assert abs(contrib.sum() - delta) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(8, 64, 64), (16, 32, 32), (32, 16, 16)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_multipliers_match_the_stacked_window_rule_bit_for_bit(self, n, shape):
+        rng = np.random.default_rng(sum(shape) + n)
+        x, ref = _special_pool_pair(rng, (n,) + shape)
+        layer = MaxPool2("pl")
+        y, saved_x = layer.forward({}, x)
+        _, saved_ref = layer.forward({}, ref)
+        m_out = rng.standard_normal(y.shape)
+        m_out.reshape(-1)[::7] = -0.0
+        got = layer.multipliers({}, saved_x, saved_ref, m_out)
+        expected = _stacked_pool_multipliers(x, ref, m_out)
+        assert got.tobytes() == expected.tobytes()
+        # Every path of the rule is taken: routed, spread, identical and NaN windows.
+        d = np.abs(x - ref)
+        assert np.any(d > 1e-7) and np.any((d > 0) & (d < 1e-7)) and np.any(np.isnan(got))
+        assert np.any((got == 0) & np.signbit(got)) and np.any((got == 0) & ~np.signbit(got))

@@ -19,11 +19,12 @@ delta), which shows allocation churn without a tracer:
 
 Then it prints the median milliseconds per image of each attribution
 method (saliency, occlusion 8x8 at stride 4, DeepLIFT from a zero image
-and IG-20 from a zero image) on the first 8 annotated images of a 64x64
-corpus from seed 5, the size the pipeline's maps are made at, explaining
-``fractured`` with an untrained ``tiny_cnn(5)``: each method's arithmetic
-does not depend on the weights' values. The methods take turns, one image
-each, REPEATS rounds over the images.
+and IG-20 from a zero image), and of one occlusion map with a 2x2 patch at
+stride 1 (3,969 variants in 16 passes over one prefix pass of x), on
+the first 8 annotated images of a 64x64 corpus from seed 5, the size the
+pipeline's maps are made at, explaining ``fractured`` with an untrained
+``tiny_cnn(5)``: each method's arithmetic does not depend on the weights'
+values. The maps take turns, one image each, REPEATS rounds over the images.
 
 Last it prints a per-layer table: the median forward time of every
 ``tiny_cnn(0)`` layer on one batch of 32 uniform 64x64 images (seed 0),
@@ -115,11 +116,12 @@ def _layer_times(tiny_cnn, repeats):
 
 
 def _map_times(repeats):
-    """Median ms per image of each attribution method on 64x64 annotated images."""
+    """Median ms per image of each attribution method, and of a 2x2/stride-1
+    occlusion map, on 64x64 annotated images."""
     import numpy as np
 
     from fracmap.attribution import METHODS as BUILDERS
-    from fracmap.attribution import OcclusionConfig, PathConfig
+    from fracmap.attribution import OcclusionConfig, PathConfig, occlusion
     from fracmap.model import tiny_cnn
     from fracmap.synth import generate_dataset
     from fracmap.tensor import Tensor
@@ -130,14 +132,16 @@ def _map_times(repeats):
     zero = Tensor(np.zeros(ds.image_shape))
     args = (OcclusionConfig(), PathConfig(baseline=zero), zero)
     c = ds.class_names.index("fractured")
-    times = {method: [] for method in METHODS}
+    maps = {method: lambda x, build=BUILDERS[method]: build(model, x, c, *args) for method in METHODS}
+    maps["occlusion 2x2/1"] = lambda x: occlusion(model, x, c, OcclusionConfig(2, 2, 1, 1))
+    times = {name: [] for name in maps}
     for _ in range(repeats):
         for x in images[:MAP_IMAGES]:
-            for method, ms in times.items():
+            for name, ms in times.items():
                 start = time.perf_counter()
-                BUILDERS[method](model, x, c, *args)
+                maps[name](x)
                 ms.append(1e3 * (time.perf_counter() - start))
-    return {method: statistics.median(ms) for method, ms in times.items()}
+    return {name: statistics.median(ms) for name, ms in times.items()}
 
 
 def main(argv=None) -> int:
