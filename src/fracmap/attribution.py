@@ -102,6 +102,13 @@ class OcclusionConfig:
         if not 0.0 <= self.baseline_value <= 1.0:
             raise ValueError("baseline_value must lie in [0, 1]")
 
+    def digest(self) -> str:
+        """The settings as config-digest fields, for heatmaps and the coverage CSV."""
+        return (
+            f"patch={self.patch_h}x{self.patch_w};stride={self.stride_h}x{self.stride_w};"
+            f"baseline={self.baseline_value!r};per_channel={int(self.per_channel)}"
+        )
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -160,14 +167,6 @@ def _upsample_covering(shape, scores, cfg: OcclusionConfig) -> np.ndarray:
     return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
-def _occlusion_digest(cfg: OcclusionConfig, c: int) -> str:
-    return (
-        f"method=occlusion;patch={cfg.patch_h}x{cfg.patch_w};"
-        f"stride={cfg.stride_h}x{cfg.stride_w};baseline={cfg.baseline_value!r};"
-        f"per_channel={int(cfg.per_channel)};class={c}"
-    )
-
-
 def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     """Output drop f(x) - f(x with patch replaced) at every strided position.
 
@@ -194,7 +193,7 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
         values=_upsample_covering(x.shape, scores, cfg),
         method="occlusion",
         target_class=c,
-        config_digest=_occlusion_digest(cfg, c),
+        config_digest=f"method=occlusion;{cfg.digest()};class={c}",
     )
 
 
@@ -213,12 +212,11 @@ def occlusion_linearized(model, x: Tensor, c: int, cfg: OcclusionConfig) -> Attr
         -float(weighted[:, i : i + cfg.patch_h, j : j + cfg.patch_w].sum())
         for i, j in positions
     ]
-    digest = _occlusion_digest(cfg, c).replace("method=occlusion", "method=occlusion_linearized")
     return AttributionMap(
         values=_upsample_covering(x.shape, scores, cfg),
         method="occlusion_linearized",
         target_class=c,
-        config_digest=digest,
+        config_digest=f"method=occlusion_linearized;{cfg.digest()};class={c}",
     )
 
 

@@ -4,13 +4,15 @@ Every command is a pure function of its arguments and the global seed:
 rerunning with identical inputs reproduces byte-identical artifacts. Each
 artifact embeds the seed and a digest of the configuration that produced
 it (weight-file meta entries, ``#`` provenance lines in CSVs, heatmap
-sidecars, manifest header keys). A ``run-status`` file next to each
-command's outputs is written as ``running`` first, then ``ok`` or ``failed:
-<error>``, so a failed run leaves a visible flag instead of silently partial
-outputs. The status is written before the command loads its manifest,
-dataset or model, so a failure there is recorded too. Every artifact is
-written to a temporary file that replaces it only once complete
-(``atomic_open``), so a failure never leaves one half-written.
+sidecars, manifest header keys). ``main`` runs every command inside its run
+status: ``run-status.txt`` in the output directory of ``synth`` and
+``attribute``, ``<out>.status`` beside the output file of the others. It is
+written as ``running`` first, then ``ok`` or ``failed: <error>``, so a
+failed run leaves a visible flag instead of silently partial outputs. The
+status is written before the command loads its manifest, dataset or model,
+so a failure there is recorded too. Every artifact is written to a
+temporary file that replaces it only once complete (``atomic_open``), so a
+failure never leaves one half-written.
 
 Shared configuration comes from a JSON run manifest (``--manifest``). The
 README ("Command-line pipeline") holds a complete example and the rules for
@@ -201,7 +203,7 @@ class _RunStatus:
     """
 
     def __init__(self, path: Path, command: str, seed):
-        self.path = Path(path)
+        self.path = path
         self.command = command
         self.seed = seed
 
@@ -251,79 +253,76 @@ def _train_digest(cfg: TrainConfig, atk: AttackConfig | None, init_name: str | N
     return ";".join(parts)
 
 
-def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
+def cmd_synth(args, status) -> str:
     cfg = SynthConfig(height=args.size, width=args.size)
-    with _RunStatus(out_dir / "run-status.txt", "synth", args.seed):
-        ds = generate_dataset(args.seed, args.n, cfg)
-        manifest_path, ann_path = save_dataset(ds, out_dir)
-    print(f"wrote {args.n} images, {manifest_path}, {ann_path}")
-    return 0
+    ds = generate_dataset(args.seed, args.n, cfg)
+    manifest_path, ann_path = save_dataset(ds, args.out)
+    return f"wrote {args.n} images, {manifest_path}, {ann_path}"
 
 
-def cmd_train(args) -> int:
-    out_model = Path(args.out)
-    metrics_path = out_model.with_name(out_model.name + ".metrics.json")
-    status_path = out_model.with_name(out_model.name + ".status")
-    with _RunStatus(status_path, f"train-{args.mode}", args.seed) as status:
-        rm, ds = status.load_inputs(args)
-        if args.init:
-            model, _ = load_model(args.init)
-        else:
-            c, h, w = ds.image_shape
-            model = tiny_cnn(rm.seed, input_shape=(c, h, w), class_names=ds.class_names)
-        if args.mode == "standard":
-            result = train(model, ds, rm.train)
-            digest = _train_digest(rm.train, None, args.init and Path(args.init).name)
-        else:
-            result = adv_train(model, ds, rm.train_attack, rm.train)
-            digest = _train_digest(rm.train, rm.train_attack, args.init and Path(args.init).name)
+def cmd_train(args, status) -> str:
+    rm, ds = status.load_inputs(args)
+    if args.init:
+        model, _ = load_model(args.init)
+    else:
+        model = tiny_cnn(rm.seed, input_shape=ds.image_shape, class_names=ds.class_names)
+    if args.mode == "standard":
+        result, atk = train(model, ds, rm.train), None
+    else:
+        result, atk = adv_train(model, ds, rm.train_attack, rm.train), rm.train_attack
+    digest = _train_digest(rm.train, atk, args.init and Path(args.init).name)
 
-        out_model.parent.mkdir(parents=True, exist_ok=True)
-        save_model(result.model, out_model, meta={"seed": rm.seed, "config": digest})
-        metrics = {
+    save_model(result.model, args.out, meta={"seed": rm.seed, "config": digest})
+    metrics = {
+        "seed": rm.seed,
+        "config": digest,
+        "mode": args.mode,
+        "loss_trace": result.loss_trace,
+        "clean_acc": {
+            split: evaluate(result.model, ds, split)
+            for split in ("train", "val", "test")
+            if ds.split_indices(split)
+        },
+    }
+    metrics_path = f"{args.out}.metrics.json"
+    with atomic_open(metrics_path) as fh:
+        fh.write(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
+    return f"wrote {args.out} and {metrics_path}"
+
+
+def _unique(ids, flag: str, noun: str):
+    """``ids``, checked for repeats; a repeat is reported under the flag's name."""
+    for i, item in enumerate(ids):
+        if item in ids[:i]:
+            raise ValueError(f"{flag}: {noun} {item!r} is repeated")
+    return ids
+
+
+def _load_models(paths) -> dict:
+    """The ``--models`` files' models, keyed by their ids, the file stems."""
+    ids = _unique([Path(p).stem for p in paths], "--models", "model id")
+    return {model_id: load_model(p)[0] for model_id, p in zip(ids, paths)}
+
+
+def cmd_attack(args, status) -> str:
+    rm, ds = status.load_inputs(args)
+    split, atk = rm.coverage.split, rm.attack
+    reports = []
+    for model_id, model in _load_models(args.models).items():
+        clean = 100.0 * evaluate(model, ds, split)
+        adv = 100.0 * adv_accuracy(model, ds, split, atk)
+        reports.append(RobustnessReport(model_id, clean, adv, delta_acc(clean, adv)))
+    ranked = rank_models(reports)
+    write_csv(
+        args.out,
+        "model,clean_acc,adv_acc,delta_acc",
+        [f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}" for r in ranked],
+        {
             "seed": rm.seed,
-            "config": digest,
-            "mode": args.mode,
-            "loss_trace": result.loss_trace,
-            "clean_acc": {
-                split: evaluate(result.model, ds, split)
-                for split in ("train", "val", "test")
-                if ds.split_indices(split)
-            },
-        }
-        with atomic_open(metrics_path) as fh:
-            fh.write(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out_model} and {metrics_path}")
-    return 0
-
-
-def cmd_attack(args) -> int:
-    out_path = Path(args.out)
-    with _RunStatus(out_path.with_name(out_path.name + ".status"), "attack", args.seed) as status:
-        rm, ds = status.load_inputs(args)
-        split, atk = rm.coverage.split, rm.attack
-        reports = []
-        for model_path in args.models:
-            model, _ = load_model(model_path)
-            clean = 100.0 * evaluate(model, ds, split)
-            adv = 100.0 * adv_accuracy(model, ds, split, atk)
-            reports.append(
-                RobustnessReport(Path(model_path).stem, clean, adv, delta_acc(clean, adv))
-            )
-        ranked = rank_models(reports)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out_path,
-            "model,clean_acc,adv_acc,delta_acc",
-            [f"{r.model_id},{r.clean_acc:.2f},{r.adv_acc:.2f},{r.delta_acc:.2f}" for r in ranked],
-            {
-                "seed": rm.seed,
-                "config": f"{_attack_digest(atk)};split={split}",
-            },
-        )
-    print(f"wrote {out_path}")
-    return 0
+            "config": f"{_attack_digest(atk)};split={split}",
+        },
+    )
+    return f"wrote {args.out}"
 
 
 def _map_inputs(rm: RunManifest, ds):
@@ -346,69 +345,58 @@ def _parse_list(raw, flag: str, convert, check) -> tuple:
     return items
 
 
-def cmd_attribute(args) -> int:
+def cmd_attribute(args, status) -> str:
     target = args.target_class if args.target_class is not None else FRACTURED
-    out_dir = Path(args.out)
-    with _RunStatus(out_dir / "run-status.txt", "attribute", args.seed) as status:
-        rm, ds = status.load_inputs(args)
-        methods = _parse_list(args.methods, "--methods", str, check_methods)
-        model, _ = load_model(args.model)
-        missing = [i for i in args.images if i not in ds.ids]
-        if missing:
-            raise ValueError(f"images not in the dataset: {', '.join(missing)}")
-        path_cfg, ref = _map_inputs(rm, ds)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for image_id in args.images:
-            x = ds.images[ds.index_of(image_id)]
-            for method in methods:
-                amap = METHODS[method](model, x, target, rm.occlusion, path_cfg, ref)
-                stem = f"{image_id}__{method}__c{target}"
-                write_heatmap(
-                    amap,
-                    out_dir / f"{stem}.pgm",
-                    out_dir / f"{stem}.txt",
-                    extra={"seed": rm.seed, "image": image_id},
-                )
-    print(f"wrote {len(args.images) * len(methods)} heatmaps to {out_dir}")
-    return 0
+    rm, ds = status.load_inputs(args)
+    methods = _parse_list(args.methods, "--methods", str, check_methods)
+    model, _ = load_model(args.model)
+    missing = [i for i in _unique(args.images, "--images", "image id") if i not in ds.ids]
+    if missing:
+        raise ValueError(f"images not in the dataset: {', '.join(missing)}")
+    path_cfg, ref = _map_inputs(rm, ds)
+    for image_id in args.images:
+        x = ds.images[ds.index_of(image_id)]
+        for method in methods:
+            amap = METHODS[method](model, x, target, rm.occlusion, path_cfg, ref)
+            stem = f"{image_id}__{method}__c{target}"
+            write_heatmap(
+                amap,
+                args.out / f"{stem}.pgm",
+                args.out / f"{stem}.txt",
+                extra={"seed": rm.seed, "image": image_id},
+            )
+    return f"wrote {len(args.images) * len(methods)} heatmaps to {args.out}"
 
 
-def cmd_coverage(args) -> int:
-    out_path = Path(args.out)
-    with _RunStatus(out_path.with_name(out_path.name + ".status"), "coverage", args.seed) as status:
-        rm, ds = status.load_inputs(args)
-        methods = _parse_list(args.methods, "--methods", str, check_methods)
-        percentiles = rm.coverage.percentiles
-        if args.percentiles is not None:
-            percentiles = _parse_list(args.percentiles, "--percentiles", float, check_percentiles)
-        models = {}
-        for model_path in args.models:
-            model, _ = load_model(model_path)
-            models[Path(model_path).stem] = model
-        path_cfg, ref = _map_inputs(rm, ds)
-        report = coverage_table(
-            models,
-            methods,
-            percentiles,
-            ds,
-            ds.annotations,
-            split=rm.coverage.split,
-            occlusion_cfg=rm.occlusion,
-            path_cfg=path_cfg,
-            reference=ref,
-        )
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        report.to_csv(
-            out_path,
-            {
-                "seed": rm.seed,
-                "config": f"split={rm.coverage.split};ig_steps={path_cfg.n_steps};"
-                f"ig_baseline={rm.integrated_gradients.baseline};"
-                f"deeplift_reference={rm.deeplift.reference}",
-            },
-        )
-    print(f"wrote {out_path}")
-    return 0
+def cmd_coverage(args, status) -> str:
+    rm, ds = status.load_inputs(args)
+    methods = _parse_list(args.methods, "--methods", str, check_methods)
+    percentiles = rm.coverage.percentiles
+    if args.percentiles is not None:
+        percentiles = _parse_list(args.percentiles, "--percentiles", float, check_percentiles)
+    models = _load_models(args.models)
+    path_cfg, ref = _map_inputs(rm, ds)
+    report = coverage_table(
+        models,
+        methods,
+        percentiles,
+        ds,
+        ds.annotations,
+        split=rm.coverage.split,
+        occlusion_cfg=rm.occlusion,
+        path_cfg=path_cfg,
+        reference=ref,
+    )
+    report.to_csv(
+        args.out,
+        {
+            "seed": rm.seed,
+            "config": f"split={rm.coverage.split};{rm.occlusion.digest()};"
+            f"ig_steps={path_cfg.n_steps};ig_baseline={rm.integrated_gradients.baseline};"
+            f"deeplift_reference={rm.deeplift.reference}",
+        },
+    )
+    return f"wrote {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,58 +405,64 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic fracture corpus, CNN training/attack, attribution maps, coverage.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the commands that read a run manifest
+    run.add_argument("--manifest", required=True, help="run manifest JSON")
+    run.add_argument("--seed", type=int, default=None, help="override the manifest seed")
 
     p = sub.add_parser("synth", help="generate a synthetic PGM corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="total image count (even)")
     p.add_argument("--size", type=int, default=64, help="image side length")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a dataset")
-    p.add_argument("--manifest", required=True, help="run manifest JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
+    p = sub.add_parser("train", parents=[run], help="train a model on a dataset")
     p.add_argument("--mode", choices=("standard", "adversarial"), required=True)
     p.add_argument("--init", help="optional MWF1 weights to start from")
-    p.add_argument("--out", required=True, help="output weight file (MWF1)")
+    p.add_argument("--out", type=Path, required=True, help="output weight file (MWF1)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("attack", help="clean/adversarial accuracy report")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
+    p = sub.add_parser("attack", parents=[run], help="clean/adversarial accuracy report")
     p.add_argument("--models", nargs="+", required=True, help="MWF1 weight files")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("attribute", help="write attribution heatmaps")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
+    p = sub.add_parser("attribute", parents=[run], help="write attribution heatmaps")
     p.add_argument("--model", required=True)
     p.add_argument("--methods", nargs="+", required=True, help=f"from: {', '.join(METHODS)}")
     p.add_argument("--images", nargs="+", required=True, help="image ids from the dataset")
     p.add_argument("--target-class", type=int, default=None)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_attribute)
 
-    p = sub.add_parser("coverage", help="point-coverage table across models and methods")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
+    p = sub.add_parser(
+        "coverage", parents=[run], help="point-coverage table across models and methods"
+    )
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--methods", nargs="+", required=True, help=f"from: {', '.join(METHODS)}")
     p.add_argument("--percentiles", nargs="+", default=None, help="e.g. 15,75,85,95")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.set_defaults(func=cmd_coverage)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command inside its run status and print the line it returns."""
     args = build_parser().parse_args(argv)
+    label = f"train-{args.mode}" if args.command == "train" else args.command
     try:
-        return args.func(args)
+        if args.command in ("synth", "attribute"):
+            status_path = args.out / "run-status.txt"
+        else:
+            status_path = args.out.with_name(args.out.name + ".status")
+        with _RunStatus(status_path, label, args.seed) as status:
+            done = args.func(args, status)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report and exit nonzero
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(done)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,12 +31,14 @@ one. Every layer implements three passes over plain float64 ndarrays:
   ratio. Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out),
   so the final contributions sum to the output change from the reference.
 
-Each class also names the ``key=value`` fields of its MWF1 ``layer.N``
-line: ``file_fields`` lists ``(key, attribute, cast)`` in on-disk order,
-after the leading kind word and ``name=``. ``Conv2d`` writes
-``in/out/kh/kw/padding``, ``Standardize`` ``channels``, ``Dense``
-``in/out``, and a layer without parameters writes none. The model module
-saves and loads every kind through these fields and ``LAYER_KINDS``.
+Each class declares its parameters once, in ``param_specs()``: one
+``(name, shape, trainable by default)`` per parameter, in MWF1 blob order;
+``param_names()`` reads it. Each class also names the ``key=value`` fields
+of its MWF1 ``layer.N`` line: ``file_fields`` lists ``(key, attribute,
+cast)`` in on-disk order, after the leading kind word and ``name=``.
+``Conv2d`` writes ``in/out/kh/kw/padding``, ``Standardize`` ``channels``,
+``Dense`` ``in/out``, and a layer without parameters writes none. The model
+module saves and loads every kind through these fields and ``LAYER_KINDS``.
 
 The hot kernels keep the bytes of a plain per-image evaluation, whatever
 else shares the batch (README, "Speed and exactness"):
@@ -102,18 +104,15 @@ class LayerShapeError(ValueError):
 
 
 class _Layer:
-    """Defaults for a layer without parameters."""
+    """Defaults for a layer without parameters, and ``param_names()``."""
 
     file_fields = ()
 
+    def param_specs(self):
+        return ()
+
     def param_names(self):
-        return ()
-
-    def param_shapes(self):
-        return ()
-
-    def default_trainable(self):
-        return ()
+        return tuple(name for name, _, _ in self.param_specs())
 
 
 class _Affine(_Layer):
@@ -133,14 +132,11 @@ class Standardize(_Affine):
     kind = "standardize"
     file_fields = (("channels", "channels", int),)
 
-    def param_names(self):
-        return (f"{self.name}.mean", f"{self.name}.std")
-
-    def param_shapes(self):
-        return ((self.channels,), (self.channels,))
-
-    def default_trainable(self):
-        return (False, False)
+    def param_specs(self):
+        return (
+            (f"{self.name}.mean", (self.channels,), False),
+            (f"{self.name}.std", (self.channels,), False),
+        )
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.channels:
@@ -187,17 +183,12 @@ class Conv2d(_Affine):
         if self.padding == "same" and (self.kernel_h % 2 == 0 or self.kernel_w % 2 == 0):
             raise LayerShapeError(f"layer {self.name!r}: 'same' padding needs odd kernel sizes")
 
-    def param_names(self):
-        return (f"{self.name}.weight", f"{self.name}.bias")
-
-    def param_shapes(self):
+    def param_specs(self):
+        shape = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
         return (
-            (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w),
-            (self.out_channels,),
+            (f"{self.name}.weight", shape, True),
+            (f"{self.name}.bias", (self.out_channels,), True),
         )
-
-    def default_trainable(self):
-        return (True, True)
 
     def _pads(self):
         if self.padding == "same":
@@ -457,14 +448,11 @@ class Dense(_Affine):
     kind = "dense"
     file_fields = (("in", "in_features", int), ("out", "out_features", int))
 
-    def param_names(self):
-        return (f"{self.name}.weight", f"{self.name}.bias")
-
-    def param_shapes(self):
-        return ((self.out_features, self.in_features), (self.out_features,))
-
-    def default_trainable(self):
-        return (True, True)
+    def param_specs(self):
+        return (
+            (f"{self.name}.weight", (self.out_features, self.in_features), True),
+            (f"{self.name}.bias", (self.out_features,), True),
+        )
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.in_features:

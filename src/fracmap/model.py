@@ -108,22 +108,18 @@ class Model:
             )
 
         expected = {}
-        default_flags = {}
         for layer in layers:
-            for pname, pshape, dflt in zip(
-                layer.param_names(), layer.param_shapes(), layer.default_trainable()
-            ):
+            for pname, pshape, dflt in layer.param_specs():
                 if pname in expected:
                     raise ModelError(f"duplicate parameter name {pname!r}")
-                expected[pname] = pshape
-                default_flags[pname] = dflt
+                expected[pname] = pshape, dflt
         if set(params) != set(expected):
             missing = set(expected) - set(params)
             extra = set(params) - set(expected)
             raise ModelError(f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
 
         frozen = {}
-        for pname, pshape in expected.items():
+        for pname, (pshape, _) in expected.items():
             arr = np.asarray(params[pname], dtype=np.float64)
             if arr.shape != tuple(pshape):
                 raise ModelError(f"parameter {pname!r} has shape {arr.shape}, expected {pshape}")
@@ -133,7 +129,7 @@ class Model:
             arr.setflags(write=False)
             frozen[pname] = arr
 
-        flags = {pname: bool(trainable.get(pname, default_flags[pname])) for pname in expected}
+        flags = {pname: bool(trainable.get(pname, dflt)) for pname, (_, dflt) in expected.items()}
 
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "params", frozen)
@@ -196,16 +192,14 @@ def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "heal
         "stdz.mean": np.full(c_in, STDZ_MEAN),
         "stdz.std": np.full(c_in, STDZ_STD),
     }
-    trainable = {"stdz.mean": False, "stdz.std": False}
 
     prev = c_in
     gain = np.sqrt(6.0)
     for i, ch in enumerate(TINY_CONV_CHANNELS):
         conv = Conv2d(name=f"conv{i}", in_channels=prev, out_channels=ch, kernel_h=3, kernel_w=3)
         layers.append(conv)
-        fan_in = prev * 9
-        params[f"conv{i}.weight"] = _init_uniform(rng, conv.param_shapes()[0], fan_in, gain)
-        params[f"conv{i}.bias"] = _init_uniform(rng, (ch,), fan_in, gain)
+        for pname, shape, _ in conv.param_specs():
+            params[pname] = _init_uniform(rng, shape, prev * 9, gain)
         layers.append(ReLU(name=f"relu{i}"))
         layers.append(MaxPool2(name=f"pool{i}"))
         prev = ch
@@ -215,10 +209,10 @@ def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "heal
     feat = prev * h * w
     head = Dense(name="head", in_features=feat, out_features=len(class_names))
     layers.append(head)
-    params["head.weight"] = _init_uniform(rng, head.param_shapes()[0], feat)
-    params["head.bias"] = _init_uniform(rng, (len(class_names),), feat)
+    for pname, shape, _ in head.param_specs():
+        params[pname] = _init_uniform(rng, shape, feat)
 
-    return Model(layers, params, trainable, input_shape, class_names)
+    return Model(layers, params, {}, input_shape, class_names)
 
 
 def replace_head(model: Model, k: int, seed: int, class_names=None) -> Model:
@@ -238,11 +232,10 @@ def replace_head(model: Model, k: int, seed: int, class_names=None) -> Model:
     head = Dense(name=old.name, in_features=old.in_features, out_features=k)
     rng = np.random.Generator(np.random.PCG64(seed))
     params = dict(model.params)
-    params[f"{old.name}.weight"] = _init_uniform(rng, head.param_shapes()[0], head.in_features)
-    params[f"{old.name}.bias"] = _init_uniform(rng, (k,), head.in_features)
-    trainable = dict(model.trainable)
+    for pname, shape, _ in head.param_specs():
+        params[pname] = _init_uniform(rng, shape, head.in_features)
     layers = model.layers[:-1] + (head,)
-    return Model(layers, params, trainable, model.input_shape, class_names)
+    return Model(layers, params, model.trainable, model.input_shape, class_names)
 
 
 def _layer_line(layer) -> str:

@@ -235,28 +235,13 @@ def render_sample(rng: np.random.Generator, cfg: SynthConfig, fractured: bool) -
         depth = rng.uniform(*CRACK_DEPTH)
         img = img * (1.0 - crack_alpha * depth)
 
-        # annotation points: spine pixels well inside the bone, deduplicated
-        inner = [
-            (float(px), float(py))
-            for s, j in zip(ss, jag)
-            if abs(s) <= 0.8 * halfwid
-            for px, py in [(c0x + s * vx + j * 0.8 * ux, c0y + s * vy + j * 0.8 * uy)]
-        ]
-        chosen = []
+        # annotation points: the rounded vertices well inside the bone, evenly
+        # spaced ones first, topped up from the rest where rounding collided
+        inner = [v for s, v in zip(ss, verts) if abs(s) <= 0.8 * halfwid]
         want = ANNOTATION_POINTS
-        for k in range(want):
-            pos = k * (len(inner) - 1) / max(1, want - 1)
-            px, py = inner[int(round(pos))]
-            pt = (int(round(px)), int(round(py)))
-            if pt not in chosen:
-                chosen.append(pt)
-        # top up from remaining spine pixels if rounding collided
-        for px, py in inner:
-            if len(chosen) >= want:
-                break
-            pt = (int(round(px)), int(round(py)))
-            if pt not in chosen:
-                chosen.append(pt)
+        spaced = [inner[round(k * (len(inner) - 1) / max(1, want - 1))] for k in range(want)]
+        rounded = ((int(round(px)), int(round(py))) for px, py in spaced + inner)
+        chosen = list(dict.fromkeys(rounded))[:want]
         keep = [
             (px, py)
             for px, py in chosen

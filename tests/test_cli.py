@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -456,9 +457,15 @@ class TestCoverage:
         manifest = json.loads((workspace / "rm.json").read_text())
         manifest["dataset"] = str(workspace / "data" / "dataset.txt")
         config_lines = {}
-        for ref in ("zero", "mean"):
-            manifest["integrated_gradients"]["baseline"] = ref
-            manifest["deeplift"] = {"reference": ref}
+        # The last run changes only the occlusion settings of the "mean" run.
+        for ref in ("zero", "mean", "occlusion"):
+            if ref == "occlusion":
+                manifest["occlusion"] = {
+                    "patch": [4, 4], "stride": [2, 2], "baseline_value": 0.5, "per_channel": True
+                }
+            else:
+                manifest["integrated_gradients"]["baseline"] = ref
+                manifest["deeplift"] = {"reference": ref}
             (tmp_path / f"rm_{ref}.json").write_text(json.dumps(manifest))
             out = tmp_path / f"cov_{ref}.csv"
             argv = ["coverage", "--manifest", str(tmp_path / f"rm_{ref}.json")]
@@ -467,6 +474,8 @@ class TestCoverage:
             config_lines[ref] = [l for l in out.read_text().splitlines() if l.startswith("# config=")]
         assert config_lines["zero"] != config_lines["mean"]
         assert config_lines["mean"][0].endswith(";ig_baseline=mean;deeplift_reference=mean")
+        assert config_lines["occlusion"] != config_lines["mean"]
+        assert ";patch=4x4;stride=2x2;baseline=0.5;per_channel=1;ig_steps=" in config_lines["occlusion"][0]
 
     def test_missing_annotations_fail(self, workspace, trained, tmp_path, capsys):
         std, _ = trained
@@ -536,6 +545,34 @@ class TestRunStatus:
         state, *tail = (tmp_path / "m.mwf.status").read_text().splitlines()
         assert state.startswith("failed: DivergenceError: ") and "non-finite" in state
         assert tail == ["command=train-standard", "seed=1"]
+
+    @pytest.mark.parametrize("command", ["attack", "coverage", "attribute"])
+    def test_repeated_id_fails_naming_flag_and_id(self, workspace, trained, tmp_path, capsys, command):
+        # Two weight files with one stem share a model id: coverage scored only
+        # the last, attack wrote two rows under it. A repeated image id wrote
+        # its heatmaps twice.
+        std, _ = trained
+        argv = [command, "--manifest", str(workspace / "rm.json"), "--out", str(tmp_path / "out")]
+        if command == "attribute":
+            argv += ["--model", str(std), "--methods", "saliency"]
+            argv += ["--images", "img_0000", "img_0002", "img_0000"]
+            problem = "--images: image id 'img_0000' is repeated"
+            status = tmp_path / "out" / "run-status.txt"
+        else:
+            copies = [tmp_path / d / std.name for d in ("a", "b")]
+            for copy in copies:
+                copy.parent.mkdir()
+                shutil.copy(std, copy)
+            argv += ["--models", *map(str, copies)]
+            argv += ["--methods", "saliency"] if command == "coverage" else []
+            problem = f"--models: model id {std.stem!r} is repeated"
+            status = tmp_path / "out.status"
+        assert main(argv) == 1
+        assert problem in capsys.readouterr().err
+        assert status.read_text() == f"failed: ValueError: {problem}\ncommand={command}\nseed={SEED}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == sorted(
+            [status.name] + ([] if command == "attribute" else [std.name, std.name])
+        )
 
     def test_failed_attribute_records_failure(self, workspace, trained, tmp_path, capsys):
         std, _ = trained

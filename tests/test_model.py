@@ -1,5 +1,6 @@
 """Model construction, transfer helpers, and the MWF1 weight format."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -119,6 +120,24 @@ class TestWeightFile(object):
         # c.weight is the first manifest entry, so the blob starts with the
         # kernel encoded as nine little-endian float32 values in row-major order
         assert blob[:36] == struct.pack("<9f", *range(1, 10))
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: tiny_cnn(0), "cdbe2ae69885b9dd59b33d1d2c0d9f54bc0f239a2b8efa94d6256a6dd4c89939"),
+            (
+                lambda: replace_head(tiny_cnn(0), 3, seed=1),
+                "e493f2ab1d2b33a490f5bf72c4db139299b5447a01ba9fc7ebe7f22a83518189",
+            ),
+        ],
+        ids=["tiny_cnn", "replace_head"],
+    )
+    def test_seeded_model_file_bytes_are_pinned(self, tmp_path, build, digest):
+        # Uniform draws, sqrt and float32 rounding are exact, so these bytes
+        # are the same on every platform.
+        path = tmp_path / "m.mwf"
+        save_model(build(), path, meta={"seed": 0})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mwf"

@@ -8,6 +8,9 @@
 # training run, a robustness CSV, heatmaps and a coverage table of its own.
 # A fourth, occ1.json, takes occlusion maps with a 2x2 patch at stride 1:
 # 961 variants per image, so occlusion runs in several forward passes.
+# Three more runs use flags the commands share or add: an attack with a
+# --seed override, a coverage table with --percentiles, and heatmaps of
+# class 1 (--target-class).
 #
 #   tools/cli_tree.sh TREE OUT      (under 10 s on a 2-vCPU host)
 #
@@ -95,3 +98,10 @@ fm attribute --manifest "$out/all.json" --model "$out/models/all_adv.mwf" --meth
     --images $images --out "$out/maps_all"
 fm coverage --manifest "$out/all.json" --models "$out/models/std.mwf" "$out/models/all_adv.mwf" \
     --methods "$methods" --out "$out/coverage_all.csv"
+fm attack --manifest "$out/zero.json" --seed 11 --models "$out/models/std.mwf" "$out/models/adv.mwf" \
+    --out "$out/attack_seed11.csv"
+fm coverage --manifest "$out/zero.json" --models "$out/models/std.mwf" --methods saliency,deeplift \
+    --percentiles 10,50 90 --out "$out/coverage_pct.csv"
+# shellcheck disable=SC2086
+fm attribute --manifest "$out/zero.json" --model "$out/models/std.mwf" --methods saliency,deeplift \
+    --images $images --target-class 1 --out "$out/maps_c1"
