@@ -3,9 +3,9 @@
 Every artifact (weight files, CSVs, PGM images and heatmaps, sidecars,
 manifests, run status) is written through ``atomic_open``: the bytes go to
 a temporary file in the same directory, which replaces the target only once
-it is complete and closed. An exception raised while writing leaves the
-target as it was and removes the temporary file. There is no fsync: this
-guards against a failing run, not against a power cut.
+it is complete and closed. An exception raised while writing, or by the
+replace, leaves the target as it was and removes the temporary file. There
+is no fsync: this guards against a failing run, not against a power cut.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def atomic_open(path, mode: str = "w"):
     try:
         with fh:
             yield fh
+        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, path)

@@ -9,6 +9,11 @@ value across channels, except occlusion's per-channel mode which sums the
 per-channel scores. ``normalize`` rescales any map to [0, 1] and flags the
 degenerate constant case instead of raising.
 
+A map's ``config_digest`` reads ``method=<method>;<setting>;...;class=<c>``.
+The settings are none for saliency, ``OcclusionConfig.digest()`` for
+occlusion, ``reference=<kind>`` for DeepLIFT and ``steps=<n>;baseline=<kind>``
+for integrated gradients; a kind is ``zero`` (an all-zero image) or ``custom``.
+
 Signed quantities back two exactness properties that tests lean on:
 
 * ``deeplift_contributions`` sum exactly to f_c(x) - f_c(x_ref),
@@ -128,39 +133,45 @@ def _reduce_max_abs(values: np.ndarray) -> np.ndarray:
     return a[0] if a.shape[0] == 1 else a.max(axis=0)
 
 
+def _map(method: str, values, c: int, *settings: str) -> AttributionMap:
+    """The ``method`` map for class c, digest ``method=<method>;<setting>;...;class=<c>``."""
+    digest = ";".join((f"method={method}", *settings, f"class={c}"))
+    return AttributionMap(values, method, c, digest)
+
+
+def _kind(image: Tensor) -> str:
+    """A reference or baseline image's digest name: ``zero`` or ``custom``."""
+    return "zero" if not np.any(image.array) else "custom"
+
+
 def saliency(model, x: Tensor, c: int) -> AttributionMap:
     """Absolute input-gradient of the class-c logit, channel-reduced by max."""
-    g = grad_input(model, x, c).array
-    return AttributionMap(
-        values=_reduce_max_abs(g),
-        method="saliency",
-        target_class=c,
-        config_digest=f"method=saliency;class={c}",
-    )
+    return _map("saliency", _reduce_max_abs(grad_input(model, x, c).array), c)
 
 
-def _occlusion_grid(shape, cfg: OcclusionConfig):
+def _occlusion_grid(shape, cfg: OcclusionConfig) -> np.ndarray:
+    """(top row, left column) of every patch position, row-major: a (P, 2) int array."""
     _, h, w = shape
     if cfg.patch_h > h or cfg.patch_w > w:
         raise MapError(
             f"occlusion patch {cfg.patch_h}x{cfg.patch_w} larger than image {h}x{w}"
         )
-    rows = range(0, h - cfg.patch_h + 1, cfg.stride_h)
-    cols = range(0, w - cfg.patch_w + 1, cfg.stride_w)
-    return [(i, j) for i in rows for j in cols]
+    rows = np.arange(0, h - cfg.patch_h + 1, cfg.stride_h)
+    cols = np.arange(0, w - cfg.patch_w + 1, cfg.stride_w)
+    return np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _upsample_covering(shape, scores, cfg: OcclusionConfig) -> np.ndarray:
     # Each pixel gets the mean score of every patch position covering it;
     # pixels no patch reaches (stride gaps at the far edges) stay 0. The
-    # pixels of every patch cell are listed in row-major position order,
+    # pixels of every patch cell are listed in the grid's position order,
     # and a weighted bincount adds each bin's weights in list order from
     # 0.0, so a pixel sums its covering scores as a loop over the positions
     # would.
     _, h, w = shape
-    rows = np.arange(0, h - cfg.patch_h + 1, cfg.stride_h)[:, None] + np.arange(cfg.patch_h)
-    cols = np.arange(0, w - cfg.patch_w + 1, cfg.stride_w)[:, None] + np.arange(cfg.patch_w)
-    pixels = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(-1)
+    tops, lefts = _occlusion_grid(shape, cfg).T
+    rows, cols = tops[:, None] + np.arange(cfg.patch_h), lefts[:, None] + np.arange(cfg.patch_w)
+    pixels = (rows[:, :, None] * w + cols[:, None, :]).reshape(-1)
     weights = np.repeat(scores, cfg.patch_h * cfg.patch_w)
     total = np.bincount(pixels, weights, minlength=h * w).reshape(h, w)
     count = np.bincount(pixels, minlength=h * w).reshape(h, w)
@@ -188,13 +199,7 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
         boxes[ch:-1:k, ch if cfg.per_channel else slice(None)] = cfg.baseline_value
     logits = forward_values(model, boxes, base=(img, rows, cols))[:, c]
     scores = (logits[-1] - logits[:-1]).reshape(len(positions), -1).sum(axis=1)
-
-    return AttributionMap(
-        values=_upsample_covering(x.shape, scores, cfg),
-        method="occlusion",
-        target_class=c,
-        config_digest=f"method=occlusion;{cfg.digest()};class={c}",
-    )
+    return _map("occlusion", _upsample_covering(x.shape, scores, cfg), c, cfg.digest())
 
 
 def occlusion_linearized(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
@@ -212,12 +217,7 @@ def occlusion_linearized(model, x: Tensor, c: int, cfg: OcclusionConfig) -> Attr
         -float(weighted[:, i : i + cfg.patch_h, j : j + cfg.patch_w].sum())
         for i, j in positions
     ]
-    return AttributionMap(
-        values=_upsample_covering(x.shape, scores, cfg),
-        method="occlusion_linearized",
-        target_class=c,
-        config_digest=f"method=occlusion_linearized;{cfg.digest()};class={c}",
-    )
+    return _map("occlusion_linearized", _upsample_covering(x.shape, scores, cfg), c, cfg.digest())
 
 
 def deeplift_contributions(model, x: Tensor, c: int, x_ref: Tensor) -> np.ndarray:
@@ -245,13 +245,7 @@ def deeplift_contributions(model, x: Tensor, c: int, x_ref: Tensor) -> np.ndarra
 def deeplift(model, x: Tensor, c: int, x_ref: Tensor) -> AttributionMap:
     """Reference-based contribution map, channel-reduced by max absolute value."""
     contrib = deeplift_contributions(model, x, c, x_ref)
-    ref_kind = "zero" if not np.any(x_ref.array) else "custom"
-    return AttributionMap(
-        values=_reduce_max_abs(contrib),
-        method="deeplift",
-        target_class=c,
-        config_digest=f"method=deeplift;reference={ref_kind};class={c}",
-    )
+    return _map("deeplift", _reduce_max_abs(contrib), c, f"reference={_kind(x_ref)}")
 
 
 def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
@@ -281,15 +275,8 @@ def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
 def integrated_gradients(model, x: Tensor, c: int, cfg: PathConfig) -> AttributionMap:
     """Integrated-gradients map, channel-reduced by max absolute value."""
     attr = ig_attributions(model, x, c, cfg)
-    base_kind = "zero" if not np.any(cfg.baseline.array) else "custom"
-    return AttributionMap(
-        values=_reduce_max_abs(attr),
-        method="integrated_gradients",
-        target_class=c,
-        config_digest=(
-            f"method=integrated_gradients;steps={cfg.n_steps};baseline={base_kind};class={c}"
-        ),
-    )
+    settings = f"steps={cfg.n_steps}", f"baseline={_kind(cfg.baseline)}"
+    return _map("integrated_gradients", _reduce_max_abs(attr), c, *settings)
 
 
 def normalize(amap: AttributionMap) -> AttributionMap:

@@ -6,7 +6,8 @@ artifact embeds the seed and a digest of the configuration that produced
 it (weight-file meta entries, ``#`` provenance lines in CSVs, heatmap
 sidecars, manifest header keys). ``main`` runs every command inside its run
 status: ``run-status.txt`` in the output directory of ``synth`` and
-``attribute``, ``<out>.status`` beside the output file of the others. It is
+``attribute``, ``<out>.status`` beside the output file of the others, whose
+``--out`` must name a file, not a directory; that is checked first. It is
 written as ``running`` first, then ``ok`` or ``failed: <error>``, so a
 failed run leaves a visible flag instead of silently partial outputs. The
 status is written before the command loads its manifest, dataset or model,
@@ -451,12 +452,17 @@ def main(argv=None) -> int:
     """Run one command inside its run status and print the line it returns."""
     args = build_parser().parse_args(argv)
     label = f"train-{args.mode}" if args.command == "train" else args.command
+    out_is_file = args.command not in ("synth", "attribute")
     try:
-        if args.command in ("synth", "attribute"):
+        if not out_is_file:
             status_path = args.out / "run-status.txt"
-        else:
+        elif args.out.name:
             status_path = args.out.with_name(args.out.name + ".status")
+        else:
+            raise ValueError(f"--out: {str(args.out)!r} names no file")
         with _RunStatus(status_path, label, args.seed) as status:
+            if out_is_file and args.out.is_dir():
+                raise ValueError(f"--out: {str(args.out)!r} is a directory, not a file")
             done = args.func(args, status)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report and exit nonzero
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Layer descriptors for small CNNs and their forward/backward/multiplier rules.
 
-Each layer is a frozen dataclass describing one stage of a sequential network:
+Each layer is a frozen dataclass describing one stage of a sequential network.
+``name`` is declared once, on ``_Layer``; other fields follow it:
 
 * ``Standardize``  - per-channel affine preamble (x - mean) / std
 * ``Conv2d``       - stride-1 2-D correlation, "valid" or "same" zero padding
@@ -103,8 +104,11 @@ class LayerShapeError(ValueError):
     """Raised when a layer cannot accept the shape flowing into it."""
 
 
+@dataclass(frozen=True)
 class _Layer:
-    """Defaults for a layer without parameters, and ``param_names()``."""
+    """Every layer's ``name``, defaults for a layer without parameters, and ``param_names()``."""
+
+    name: str
 
     file_fields = ()
 
@@ -126,7 +130,6 @@ class _Affine(_Layer):
 class Standardize(_Affine):
     """Per-channel affine input normalization: (x - mean) / std."""
 
-    name: str
     channels: int
 
     kind = "standardize"
@@ -161,7 +164,6 @@ class Standardize(_Affine):
 class Conv2d(_Affine):
     """Stride-1 2-D correlation with zero padding ("valid" or "same")."""
 
-    name: str
     in_channels: int
     out_channels: int
     kernel_h: int
@@ -298,11 +300,8 @@ class Conv2d(_Affine):
         return self._correlate(gy, taps, (kh - 1 - ph, kw - 1 - pw))[0], grads
 
 
-@dataclass(frozen=True)
 class ReLU(_Layer):
     """Elementwise max(x, 0). The subgradient at exactly 0 is 0."""
-
-    name: str
 
     kind = "relu"
 
@@ -323,11 +322,8 @@ class ReLU(_Layer):
         return m_out * ratio
 
 
-@dataclass(frozen=True)
 class MaxPool2(_Layer):
     """2x2 max pooling with stride 2; ties go to the first window element."""
-
-    name: str
 
     kind = "maxpool2"
 
@@ -395,11 +391,8 @@ class MaxPool2(_Layer):
         return m_in
 
 
-@dataclass(frozen=True)
 class GlobalAvgPool(_Affine):
     """Mean over the spatial dimensions, one value per channel."""
-
-    name: str
 
     kind = "gap"
 
@@ -416,11 +409,8 @@ class GlobalAvgPool(_Affine):
         return np.broadcast_to(gy[:, :, None, None] / (h * w), (n, c, h, w)).copy(), {}
 
 
-@dataclass(frozen=True)
 class Flatten(_Affine):
     """Row-major reshape to a vector (per batch element)."""
-
-    name: str
 
     kind = "flatten"
 
@@ -441,7 +431,6 @@ class Flatten(_Affine):
 class Dense(_Affine):
     """Fully connected affine map y = W x + b on a vector input."""
 
-    name: str
     in_features: int
     out_features: int
 

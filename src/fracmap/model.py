@@ -172,9 +172,10 @@ class Model:
         return f"Model({kinds}, input={self.input_shape}, classes={self.class_names})"
 
 
-def _init_uniform(rng, shape, fan_in, gain=1.0):
+def _init_uniform(rng, layer, fan_in, gain=1.0):
+    """The layer's parameters, drawn in spec order from U(+-gain/sqrt(fan_in))."""
     bound = float(gain) / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape)
+    return {name: rng.uniform(-bound, bound, size=shape) for name, shape, _ in layer.param_specs()}
 
 
 def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "healthy")) -> Model:
@@ -198,8 +199,7 @@ def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "heal
     for i, ch in enumerate(TINY_CONV_CHANNELS):
         conv = Conv2d(name=f"conv{i}", in_channels=prev, out_channels=ch, kernel_h=3, kernel_w=3)
         layers.append(conv)
-        for pname, shape, _ in conv.param_specs():
-            params[pname] = _init_uniform(rng, shape, prev * 9, gain)
+        params.update(_init_uniform(rng, conv, prev * 9, gain))
         layers.append(ReLU(name=f"relu{i}"))
         layers.append(MaxPool2(name=f"pool{i}"))
         prev = ch
@@ -209,8 +209,7 @@ def tiny_cnn(seed: int, input_shape=(1, 64, 64), class_names=("fractured", "heal
     feat = prev * h * w
     head = Dense(name="head", in_features=feat, out_features=len(class_names))
     layers.append(head)
-    for pname, shape, _ in head.param_specs():
-        params[pname] = _init_uniform(rng, shape, feat)
+    params.update(_init_uniform(rng, head, feat))
 
     return Model(layers, params, {}, input_shape, class_names)
 
@@ -231,9 +230,7 @@ def replace_head(model: Model, k: int, seed: int, class_names=None) -> Model:
     old = model.head
     head = Dense(name=old.name, in_features=old.in_features, out_features=k)
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = dict(model.params)
-    for pname, shape, _ in head.param_specs():
-        params[pname] = _init_uniform(rng, shape, head.in_features)
+    params = {**model.params, **_init_uniform(rng, head, head.in_features)}
     layers = model.layers[:-1] + (head,)
     return Model(layers, params, model.trainable, model.input_shape, class_names)
 

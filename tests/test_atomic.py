@@ -62,3 +62,13 @@ def test_a_complete_write_replaces_the_file(tmp_path):
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(OSError):
+        with atomic.atomic_open(target) as fh:
+            fh.write("new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    assert list(target.iterdir()) == []

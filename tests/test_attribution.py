@@ -495,3 +495,45 @@ class TestHeatmapExport:
         assert "method=saliency" in text
         assert "config_digest=" in text and "min=" in text and "max=" in text
         assert "seed=11" in text
+
+
+class TestConfigDigest:
+    """The digests that heatmap sidecars, PGM comments and coverage cells record."""
+
+    CUSTOM = OcclusionConfig(
+        patch_h=6, patch_w=4, stride_h=3, stride_w=2, baseline_value=0.25, per_channel=True
+    )
+
+    def test_every_builder_writes_its_pinned_digest(self):
+        m = random_cnn(seed=70, input_shape=(2, 8, 8))
+        x, ref = rand_image(70, m.input_shape), rand_image(71, m.input_shape)
+        zero = zeros_like_input(m)
+        occ = "patch=8x8;stride=4x4;baseline=0.0;per_channel=0"
+        occ_custom = "patch=6x4;stride=3x2;baseline=0.25;per_channel=1"
+        digests = [
+            (saliency(m, x, 1), "method=saliency;class=1"),
+            (occlusion(m, x, 1, OcclusionConfig()), f"method=occlusion;{occ};class=1"),
+            (occlusion(m, x, 0, self.CUSTOM), f"method=occlusion;{occ_custom};class=0"),
+            (
+                occlusion_linearized(m, x, 1, OcclusionConfig()),
+                f"method=occlusion_linearized;{occ};class=1",
+            ),
+            (
+                occlusion_linearized(m, x, 0, self.CUSTOM),
+                f"method=occlusion_linearized;{occ_custom};class=0",
+            ),
+            (deeplift(m, x, 1, zero), "method=deeplift;reference=zero;class=1"),
+            (deeplift(m, x, 0, ref), "method=deeplift;reference=custom;class=0"),
+            (
+                integrated_gradients(m, x, 1, PathConfig(zero)),
+                "method=integrated_gradients;steps=20;baseline=zero;class=1",
+            ),
+            (
+                integrated_gradients(m, x, 0, PathConfig(ref, n_steps=3)),
+                "method=integrated_gradients;steps=3;baseline=custom;class=0",
+            ),
+        ]
+        for amap, digest in digests:
+            assert amap.config_digest == digest
+            assert digest.startswith(f"method={amap.method};")
+            assert digest.endswith(f";class={amap.target_class}")

@@ -583,3 +583,31 @@ class TestRunStatus:
         assert (out / "run-status.txt").read_text() == (
             f"failed: ValueError: images not in the dataset: img_9999\ncommand=attribute\nseed={SEED}\n"
         )
+
+    @pytest.mark.parametrize("command", ["train", "attack", "coverage"])
+    @pytest.mark.parametrize("out", ["out", "."], ids=["directory", "no_name"])
+    def test_out_must_name_a_file_before_any_input_is_read(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        # The manifest does not exist: a command that read any input before
+        # checking --out would fail on the manifest instead.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        argv = [command, "--manifest", "missing.json", "--out", out]
+        argv += {
+            "train": ["--mode", "standard"],
+            "attack": ["--models", "m.mwf"],
+            "coverage": ["--models", "m.mwf", "--methods", "saliency"],
+        }[command]
+        assert main(argv) == 1
+        problem = capsys.readouterr().err.removeprefix("error: ").strip()
+        assert problem.startswith(f"--out: {out!r} ")
+        written = sorted(p.name for p in tmp_path.rglob("*"))
+        if out == ".":
+            assert written == ["out"]
+        else:
+            label = "train-standard" if command == "train" else command
+            assert (tmp_path / "out.status").read_text() == (
+                f"failed: ValueError: {problem}\ncommand={label}\nseed=unknown\n"
+            )
+            assert written == ["out", "out.status"]

@@ -8,12 +8,14 @@ DeepLIFT rule is checked against the same rule over stacked windows.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fracmap.attribution import deeplift_contributions
 from fracmap.autodiff import forward_values
-from fracmap.layers import Conv2d, MaxPool2
+from fracmap.layers import Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2, ReLU, Standardize
 from fracmap.tensor import Tensor
 
 from conftest import random_cnn
@@ -350,3 +352,53 @@ class TestMaxPool2Oracle:
         d = np.abs(x - ref)
         assert np.any(d > 1e-7) and np.any((d > 0) & (d < 1e-7)) and np.any(np.isnan(got))
         assert np.any((got == 0) & np.signbit(got)) and np.any((got == 0) & ~np.signbit(got))
+
+
+LAYERS = [
+    lambda name="a": Standardize(name, 3),
+    lambda name="a": Conv2d(name, 1, 8, 3, 3),
+    lambda name="a": ReLU(name),
+    lambda name="a": MaxPool2(name),
+    lambda name="a": GlobalAvgPool(name),
+    lambda name="a": Flatten(name),
+    lambda name="a": Dense(name, 4, 2),
+]
+
+
+class TestLayerValues:
+    """Layers are frozen values: equal fields make equal layers of one kind."""
+
+    @pytest.mark.parametrize("make", LAYERS, ids=lambda make: type(make()).__name__)
+    def test_equal_fields_give_equal_layers_and_hashes(self, make):
+        assert make() == make() and hash(make()) == hash(make())
+        assert make("a") != make("b")
+
+    def test_kinds_with_the_same_name_differ(self):
+        layers = [make() for make in LAYERS]
+        assert all(a != b for i, a in enumerate(layers) for b in layers[i + 1 :])
+        assert len(set(layers)) == len(LAYERS)
+
+    @pytest.mark.parametrize("make", LAYERS, ids=lambda make: type(make()).__name__)
+    def test_fields_cannot_be_assigned(self, make):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make().name = "b"
+
+    def test_repr_lists_the_fields(self):
+        assert [repr(make()) for make in LAYERS] == [
+            "Standardize(name='a', channels=3)",
+            "Conv2d(name='a', in_channels=1, out_channels=8, kernel_h=3, kernel_w=3, "
+            "padding='same')",
+            "ReLU(name='a')",
+            "MaxPool2(name='a')",
+            "GlobalAvgPool(name='a')",
+            "Flatten(name='a')",
+            "Dense(name='a', in_features=4, out_features=2)",
+        ]
+        assert repr(ReLU("relu0")) == "ReLU(name='relu0')"
+
+    def test_replace_makes_a_new_layer(self):
+        conv = Conv2d("c", 1, 8, 3, 3)
+        valid = dataclasses.replace(conv, padding="valid")
+        assert valid == Conv2d("c", 1, 8, kernel_h=3, kernel_w=3, padding="valid")
+        assert conv.padding == "same" and valid != conv
+        assert dataclasses.replace(ReLU("r"), name="s") == ReLU("s")
