@@ -7,8 +7,9 @@ point-coverage metric. Everything is seeded and reproducible; see the CLI in
 ``fracmap.cli`` for the file-based pipeline.
 
 On glibc, importing the package tunes the C heap of the whole process so
-that freed activation arrays stay mapped for the next pass (see
-``_keep_freed_pages``); arithmetic and outputs are unaffected.
+that freed activation arrays stay mapped for the next pass, and so that
+every thread allocates from that one heap (one malloc arena); see
+``_keep_freed_pages``. Arithmetic and outputs are unaffected.
 """
 
 import ctypes
@@ -45,6 +46,7 @@ __version__ = "0.1.0"
 # glibc's mallopt parameters (malloc.h) and the values set for them.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit
 _TRIM_THRESHOLD = 512 * 1024 * 1024
 
@@ -58,8 +60,15 @@ def _keep_freed_pages() -> None:
     fresh pages for its activations and faults on each. Raising the mmap
     threshold to its maximum puts the arrays on the heap, and a trim
     threshold far above the working set keeps the freed heap mapped, where
-    the next pass reuses it; RSS then stays at its high-water mark. Warns
-    if glibc refuses a setting; does nothing on any other C library.
+    the next pass reuses it; RSS then stays at its high-water mark.
+
+    One arena at most: glibc gives threads other than the main one heaps of
+    their own, so the pool threads that run row parts of a PGD or
+    integrated-gradients pass (``autodiff.map_row_parts``) would keep a
+    second set of freed activations mapped beside the main heap's, which
+    the single-threaded training step cannot reuse. With one arena they
+    allocate from the main heap. Warns if glibc refuses a setting; does
+    nothing on any other C library.
     """
     try:
         libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -70,11 +79,12 @@ def _keep_freed_pages() -> None:
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    for param, value in ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)):
+    settings = ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD), (_M_ARENA_MAX, 1))
+    for param, value in settings:
         if mallopt(param, value) != 1:
             warnings.warn(
                 f"mallopt({param}, {value}) failed on {libc_version}; "
-                "freed activations will be faulted in again on every pass",
+                "freed activations may be faulted in again on every pass",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -19,16 +19,28 @@ images. ``x``'s own prefix runs once per call, and the boxes run in passes
 of at most ``OCCLUSION_BATCH``, which bounds memory. README, "Speed and
 exactness", gives the windowing rule.
 
+``map_row_parts(fn, *arrays)`` splits a batch into contiguous row parts, one
+per core the process may use and each of at least ``GEMM_TILE`` rows, and
+runs ``fn`` on each part on a shared thread pool. Every layer gives an image
+the bytes of its batch-of-one pass, whatever shares its batch, so a pass
+split this way returns the bytes of one pass over the whole batch; only
+callers that take no sum over the batch may split (PGD and integrated
+gradients do).
+
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .layers import GEMM_TILE
 from .model import ModelError
 from .tensor import Tensor
 
@@ -46,9 +58,14 @@ __all__ = [
     "central_difference",
     "numeric_gradient",
     "kink_margin",
+    "row_parts",
+    "map_row_parts",
 ]
 
 OCCLUSION_BATCH = 256  # most boxes per pass of forward_values(..., base=)
+
+_pool = None  # the ThreadPoolExecutor of map_row_parts, made on first use
+_pool_lock = threading.Lock()
 
 
 class TapeError(RuntimeError):
@@ -215,6 +232,40 @@ def _forward_from_base(model, boxes, x, rows, cols):
         _paste(top, band, pr, pc)
         logits.append(_run_forward(model, top, record=False, start=n_prefix)[0])
     return np.concatenate(logits)
+
+
+def _cores() -> int:
+    """How many cores this process may run on: its affinity mask, where the
+    OS has one (Linux), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def row_parts(n: int) -> list:
+    """Contiguous slices that cover rows 0..n-1 in order: one per core, but
+    each of at least GEMM_TILE rows, so fewer than 2 * GEMM_TILE rows make
+    one part."""
+    k = max(1, min(_cores(), n // GEMM_TILE))
+    bounds = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def map_row_parts(fn, *arrays) -> list:
+    """``[fn(*(a[part] for a in arrays)) for part in row_parts(n)]``, n the
+    arrays' common length, with the parts run on the module's thread pool;
+    a single part runs on the calling thread. The results come back in row
+    order; an error in a part is raised here."""
+    parts = row_parts(len(arrays[0]))
+    if len(parts) == 1:
+        return [fn(*arrays)]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="fracmap-rows")
+    futures = [_pool.submit(fn, *(a[part] for a in arrays)) for part in parts]
+    wait(futures)  # so that no part is left running when another's error is raised
+    return [future.result() for future in futures]
 
 
 def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):

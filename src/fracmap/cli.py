@@ -6,8 +6,9 @@ artifact embeds the seed and a digest of the configuration that produced
 it (weight-file meta entries, ``#`` provenance lines in CSVs, heatmap
 sidecars, manifest header keys). ``main`` runs every command inside its run
 status: ``run-status.txt`` in the output directory of ``synth`` and
-``attribute``, ``<out>.status`` beside the output file of the others, whose
-``--out`` must name a file, not a directory; that is checked first. It is
+``attribute``, ``<out>.status`` beside the output file of the others. So
+``--out`` must not name a file for the first two, and must name a file, not
+a directory, for the others; that is checked first. The status is
 written as ``running`` first, then ``ok`` or ``failed: <error>``, so a
 failed run leaves a visible flag instead of silently partial outputs. The
 status is written before the command loads its manifest, dataset or model,
@@ -455,6 +456,8 @@ def main(argv=None) -> int:
     out_is_file = args.command not in ("synth", "attribute")
     try:
         if not out_is_file:
+            if args.out.is_file():
+                raise ValueError(f"--out: {str(args.out)!r} is a file, not a directory")
             status_path = args.out / "run-status.txt"
         elif args.out.name:
             status_path = args.out.with_name(args.out.name + ".status")

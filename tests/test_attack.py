@@ -1,5 +1,7 @@
 """PGD attack guarantees, the accuracy-drop metric, and robustness ranking."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from fracmap.attack import (
     pgd_batch,
     rank_models,
 )
-from fracmap.autodiff import forward_batch
-from fracmap.loss import softmax
+from fracmap.autodiff import backward_batch, forward_batch, row_parts
+from fracmap.layers import GEMM_TILE
+from fracmap.loss import cross_entropy_grad, softmax
 from fracmap.train import evaluate
 
 from conftest import linear_model, rand_image, random_cnn
@@ -100,6 +103,57 @@ class TestPgd:
             assert adv[j].tobytes() == one[0].tobytes(), j
 
 
+def pgd_one_pass(model, xb, labels, cfg):
+    """PGD as one taped pass over the whole batch per step, on the calling thread."""
+    adv = xb.copy()
+    if cfg.random_start:
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        adv = np.clip(xb + rng.uniform(-cfg.epsilon, cfg.epsilon, size=xb.shape), 0.0, 1.0)
+    for _ in range(cfg.iters):
+        logits, tape = forward_batch(model, adv)
+        grad, _ = backward_batch(tape, cross_entropy_grad(logits, labels))
+        adv = adv + cfg.step_size * np.sign(grad)
+        adv = xb + np.clip(adv - xb, -cfg.epsilon, cfg.epsilon)
+        adv = np.clip(adv, 0.0, 1.0)
+    return adv
+
+
+class TestPgdRowParts:
+    # With 3 cores a 32-image batch splits into parts of 10, 11 and 11 rows,
+    # so part edges fall inside GEMM tiles.
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_split_batch_equals_one_pass(self, quick_model, quick_dataset, monkeypatch, cores, random_start):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: cores)
+        xb, yb = next(quick_dataset.batches("train", 32))
+        assert len(xb) == 32
+        cfg = AttackConfig(epsilon=EPS, step_size=1 / 255, iters=3, random_start=random_start, seed=4)
+        expect = pgd_one_pass(quick_model, xb, yb, cfg)
+        threads = []
+
+        def recorded(model, xb):
+            threads.append(threading.get_ident())
+            return forward_batch(model, xb)
+
+        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        assert pgd_batch(quick_model, xb, yb, cfg).tobytes() == expect.tobytes()
+        assert len(threads) == cores * cfg.iters
+        assert threading.get_ident() not in threads
+
+    def test_small_batch_runs_on_the_calling_thread(self, quick_model, quick_dataset, monkeypatch):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
+        xb, yb = next(quick_dataset.batches("train", 2 * GEMM_TILE - 1))
+        threads = []
+
+        def recorded(model, xb):
+            threads.append(threading.get_ident())
+            return forward_batch(model, xb)
+
+        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        pgd_batch(quick_model, xb, yb, AttackConfig(epsilon=EPS, iters=2))
+        assert threads == [threading.get_ident()] * 2
+
+
 class TestAdvAccuracy:
     def test_zero_epsilon_equals_clean_accuracy(self, quick_model, quick_dataset):
         clean = evaluate(quick_model, quick_dataset, "test")
@@ -136,7 +190,8 @@ class TestAdvAccuracy:
 
     def test_scoring_records_no_tape(self, quick_model, quick_dataset, monkeypatch):
         # The oracle scores each batch with a taped pass. evaluate then makes
-        # no taped pass, and adv_accuracy only PGD's, one per batch and step.
+        # no taped pass, and adv_accuracy only PGD's, covering each image
+        # exactly once per step.
         cfg = AttackConfig(epsilon=EPS, step_size=2 / 255, iters=2)
         clean, adv = [], []
         batches = list(quick_dataset.batches("test", EVAL_BATCH))
@@ -154,7 +209,10 @@ class TestAdvAccuracy:
         assert evaluate(quick_model, quick_dataset, "test") == sum(clean) / len(clean)
         assert calls == []
         assert adv_accuracy(quick_model, quick_dataset, "test", cfg) == sum(adv) / len(adv)
-        assert calls == [len(yb) for _, yb in batches for _ in range(cfg.iters)]
+        # PGD's passes cover each batch's row parts once per step; the parts
+        # run on pool threads, in no fixed order.
+        parts = [p.stop - p.start for _, yb in batches for p in row_parts(len(yb))]
+        assert sorted(calls) == sorted(parts * cfg.iters)
 
     def test_accuracy_does_not_depend_on_the_eval_batch(self, quick_model, quick_dataset, monkeypatch):
         cfg = AttackConfig(epsilon=EPS, step_size=2 / 255, iters=2)

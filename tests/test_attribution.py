@@ -1,5 +1,7 @@
 """The four map generators, their exactness properties, and normalization."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,14 @@ from fracmap.attribution import (
     write_heatmap,
 )
 from fracmap.attribution import _occlusion_grid, _upsample_covering
-from fracmap.autodiff import OCCLUSION_BATCH, forward_values, kink_margin, numeric_gradient
+from fracmap.autodiff import (
+    OCCLUSION_BATCH,
+    backward_batch,
+    forward_batch,
+    forward_values,
+    kink_margin,
+    numeric_gradient,
+)
 from fracmap.model import tiny_cnn
 from fracmap.pgm import read_pgm
 from fracmap.synth import SynthConfig, generate_dataset
@@ -416,6 +425,38 @@ class TestIntegratedGradients:
         )
         attr = ig_attributions(quick_model, x, 0, PathConfig(baseline=base, n_steps=256))
         assert abs(attr.sum() - delta) < 0.02 * abs(delta)
+
+    # 70 steps make one pass of MAP_BATCH points, split, and one of 6, not.
+    @pytest.mark.parametrize("n_steps", [20, 70])
+    def test_split_passes_equal_one_pass(self, quick_model, quick_dataset, monkeypatch, n_steps):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 3)
+        x = quick_dataset.images[quick_dataset.split_indices("test")[1]]
+        base = rand_image(20, quick_model.input_shape)
+        diff = x.array - base.array
+        alphas = (np.arange(n_steps) + 0.5) / n_steps
+        grad_sum = np.zeros_like(diff)
+        for start in range(0, n_steps, MAP_BATCH):
+            pts = base.array[None] + alphas[start : start + MAP_BATCH, None, None, None] * diff[None]
+            logits, tape = forward_batch(quick_model, pts)
+            seed = np.zeros_like(logits)
+            seed[:, 1] = 1.0
+            grad_sum += backward_batch(tape, seed)[0].sum(axis=0)
+        expect = diff * (grad_sum / n_steps)
+        attr = ig_attributions(quick_model, x, 1, PathConfig(baseline=base, n_steps=n_steps))
+        assert attr.tobytes() == expect.tobytes()
+
+    def test_small_pass_runs_on_the_calling_thread(self, quick_model, monkeypatch):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
+        threads = []
+
+        def recorded(model, xb):
+            threads.append((threading.get_ident(), len(xb)))
+            return forward_batch(model, xb)
+
+        monkeypatch.setattr("fracmap.attribution.forward_batch", recorded)
+        x = rand_image(21, quick_model.input_shape)
+        ig_attributions(quick_model, x, 0, PathConfig(baseline=zeros_like_input(quick_model), n_steps=15))
+        assert threads == [(threading.get_ident(), 15)]
 
     def test_channel_reduction_takes_max_absolute(self):
         m = linear_model(np.array([[-3.0, 1.0, 2.0], [0.0, 0.0, 0.0]]), (3, 1, 1))

@@ -22,9 +22,11 @@ from fracmap.autodiff import (
     grad_input,
     grad_input_weighted,
     kink_margin,
+    map_row_parts,
     numeric_gradient,
+    row_parts,
 )
-from fracmap.layers import Conv2d, Dense, Flatten, ReLU
+from fracmap.layers import GEMM_TILE, Conv2d, Dense, Flatten, ReLU
 from fracmap.model import Model, ModelError, tiny_cnn
 from fracmap.tensor import Tensor
 
@@ -472,6 +474,31 @@ class TestBatchInvariance:
             gx_one, _ = layer.backward(params, saved, gy[i : i + 1], frozenset())
             assert y[i].tobytes() == y_one[0].tobytes(), i
             assert gx[i].tobytes() == gx_one[0].tobytes(), i
+
+
+class TestRowParts:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 15, 16, 23, 24, 32, 64])
+    def test_parts_cover_the_rows_in_order(self, monkeypatch, cores, n):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: cores)
+        parts = row_parts(n)
+        assert len(parts) == max(1, min(cores, n // GEMM_TILE))
+        assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == n
+        assert len(parts) == 1 or min(p.stop - p.start for p in parts) >= GEMM_TILE
+
+    def test_results_come_back_in_row_order_and_errors_reach_the_caller(self, monkeypatch):
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 3)
+        rows = np.arange(40)
+        assert np.array_equal(np.concatenate(map_row_parts(lambda a, b: a - b, rows, -rows)), 2 * rows)
+
+        def fails_on_the_last_part(a):
+            if a[-1] == rows[-1]:
+                raise ValueError("last part")
+            return a
+
+        with pytest.raises(ValueError, match="last part"):
+            map_row_parts(fails_on_the_last_part, rows)
 
 
 class TestGradInput:

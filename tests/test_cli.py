@@ -584,6 +584,22 @@ class TestRunStatus:
             f"failed: ValueError: images not in the dataset: img_9999\ncommand=attribute\nseed={SEED}\n"
         )
 
+    @pytest.mark.parametrize("command", ["synth", "attribute"])
+    def test_out_naming_a_file_fails_before_any_status(self, tmp_path, monkeypatch, capsys, command):
+        # The status goes inside --out, which cannot be made over a file:
+        # this failed with "[Errno 17] File exists" and no status.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        argv = {
+            "synth": ["synth", "--seed", "1", "--n", "4"],
+            "attribute": ["attribute", "--manifest", "missing.json", "--model", "m.mwf"]
+            + ["--methods", "saliency", "--images", "img_0000"],
+        }[command]
+        assert main(argv + ["--out", "afile"]) == 1
+        assert capsys.readouterr().err == "error: --out: 'afile' is a file, not a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["train", "attack", "coverage"])
     @pytest.mark.parametrize("out", ["out", "."], ids=["directory", "no_name"])
     def test_out_must_name_a_file_before_any_input_is_read(

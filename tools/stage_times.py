@@ -3,6 +3,11 @@
 
     python3 tools/stage_times.py TREE [REPEATS]   (about 30 s on a 2-vCPU host)
 
+It first prints the host, so that before/after numbers name it: ``nproc``,
+the cores the process may run on (its affinity mask, which sets how many
+row parts a PGD or integrated-gradients pass splits into), the BLAS build,
+and whether BLAS is pinned to one thread.
+
 Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
 corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
 and a standard and an adversarial ``tiny_cnn`` trained with the settings of
@@ -35,8 +40,9 @@ The ``input grad`` column times the input gradient alone
 parameter gradient the layer has, without the input gradient
 (``input_grad=False``), and reads ``-`` for a layer without parameters.
 
-BLAS is pinned to one thread, as in perfbench. Run it once on the parent
-commit's tree and once on a change's to compare the two.
+BLAS is pinned to one thread, as in perfbench, unless numpy was loaded
+before ``main`` ran. Run it once on the parent commit's tree and once on a
+change's to compare the two.
 """
 
 from __future__ import annotations
@@ -80,6 +86,19 @@ def _elapsed(fn, *args, **kwargs):
     start = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - start
+
+
+def _host_facts(blas_pinned):
+    """One line: nproc, the cores this process may use, the BLAS build, and its pinning."""
+    import numpy as np
+
+    cores = len(os.sched_getaffinity(0))
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"host: nproc {os.cpu_count()}, {cores} cores in the affinity mask, "
+        f"BLAS {blas.get('name')} {blas.get('version')}, "
+        f"{'pinned to 1 thread' if blas_pinned else 'not pinned'}"
+    )
 
 
 def _layer_times(tiny_cnn, repeats):
@@ -150,8 +169,10 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     repeats = int(argv[1]) if len(argv) == 2 else 20
+    blas_pinned = "numpy" not in sys.modules or os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
+    print(_host_facts(blas_pinned))
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     from fracmap.attack import AttackConfig, adv_accuracy
     from fracmap.cli import main as cli
