@@ -19,13 +19,16 @@ images. ``x``'s own prefix runs once per call, and the boxes run in passes
 of at most ``OCCLUSION_BATCH``, which bounds memory. README, "Speed and
 exactness", gives the windowing rule.
 
-``map_row_parts(fn, *arrays)`` splits a batch into contiguous row parts, one
-per core the process may use and each of at least ``GEMM_TILE`` rows, and
-runs ``fn`` on each part on a shared thread pool. Every layer gives an image
-the bytes of its batch-of-one pass, whatever shares its batch, so a pass
-split this way returns the bytes of one pass over the whole batch; only
-callers that take no sum over the batch may split (PGD and integrated
-gradients do).
+``map_row_parts(fn, *arrays)`` splits a batch into contiguous row parts of
+``GEMM_TILE`` to ``2 * GEMM_TILE - 1`` rows and runs ``fn`` on each part on
+a shared thread pool, one worker per core the process may use. Every layer
+gives an image the bytes of its batch-of-one pass, whatever shares its
+batch, so a pass split this way returns the bytes of one pass over the
+whole batch. A sum over the batch keeps its bytes only if it runs once,
+over the parts' rows joined in order: PGD takes none, integrated gradients
+sums the joined input gradients, and the training step has each part's
+reverse pass return its parameter gradients as per-row terms
+(``Tape.row_terms``), which ``layers.sum_row_terms`` joins and sums.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -33,6 +36,7 @@ validate the reverse pass; it shares only the forward evaluator with it.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -66,6 +70,7 @@ OCCLUSION_BATCH = 256  # most boxes per pass of forward_values(..., base=)
 
 _pool = None  # the ThreadPoolExecutor of map_row_parts, made on first use
 _pool_lock = threading.Lock()
+_pool_thread = threading.local()  # .active is set on the pool's own threads
 
 
 class TapeError(RuntimeError):
@@ -84,6 +89,7 @@ class Tape:
     records: list = field(default_factory=list)
     logits: np.ndarray | None = None  # batched (N, num_classes)
     consumed: bool = False
+    row_terms: bool = False  # backward_batch leaves parameter gradients as per-row RowTerms
 
 
 @dataclass
@@ -243,27 +249,44 @@ def _cores() -> int:
 
 
 def row_parts(n: int) -> list:
-    """Contiguous slices that cover rows 0..n-1 in order: one per core, but
-    each of at least GEMM_TILE rows, so fewer than 2 * GEMM_TILE rows make
-    one part."""
-    k = max(1, min(_cores(), n // GEMM_TILE))
+    """Contiguous slices that cover rows 0..n-1 in order: n // GEMM_TILE of
+    them, each of GEMM_TILE to 2 * GEMM_TILE - 1 rows, or one part when n is
+    under 2 * GEMM_TILE.
+
+    Parts this small bound what the parts running at once (one per pool
+    worker) keep live, whatever the batch size: a pass's saved activations
+    grow with its rows. They also cost no more per row than larger ones.
+    """
+    k = max(1, n // GEMM_TILE)
     bounds = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _mark_pool_thread():
+    _pool_thread.active = True
+
+
 def map_row_parts(fn, *arrays) -> list:
     """``[fn(*(a[part] for a in arrays)) for part in row_parts(n)]``, n the
-    arrays' common length, with the parts run on the module's thread pool;
-    a single part runs on the calling thread. The results come back in row
-    order; an error in a part is raised here."""
+    arrays' common length, with the parts run on the module's thread pool.
+    A single part runs on the calling thread, and so do all parts when the
+    caller is itself a pool thread, whose pool may have no free worker to
+    wait for. The results come back in row order; an error in a part is
+    raised here."""
     parts = row_parts(len(arrays[0]))
-    if len(parts) == 1:
-        return [fn(*arrays)]
+    if len(parts) == 1 or getattr(_pool_thread, "active", False):
+        return [fn(*(a[part] for a in arrays)) for part in parts]
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="fracmap-rows")
-    futures = [_pool.submit(fn, *(a[part] for a in arrays)) for part in parts]
+            _pool = ThreadPoolExecutor(
+                max_workers=_cores(), thread_name_prefix="fracmap-rows", initializer=_mark_pool_thread
+            )
+    # Each part runs in a copy of the caller's context, so that its numpy
+    # error state (np.errstate) holds there too.
+    futures = [
+        _pool.submit(contextvars.copy_context().run, fn, *(a[part] for a in arrays)) for part in parts
+    ]
     wait(futures)  # so that no part is left running when another's error is raised
     return [future.result() for future in futures]
 
@@ -273,7 +296,9 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
 
     ``seed`` is the cotangent over the batched logits, shape (N, K). Returns
     ``(grad_input (N, C, H, W), param_grads)`` where parameter gradients are
-    summed over the batch. Each tape supports exactly one reverse pass.
+    summed over the batch, or, on a tape with ``row_terms`` set, left as
+    per-row ``RowTerms`` for ``layers.sum_row_terms``. Each tape supports
+    exactly one reverse pass.
 
     With ``input_grad=False`` the pass stops at the lowest layer that owns a
     requested parameter, which computes only its parameter gradients, and
@@ -301,10 +326,12 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     param_grads = {}
     while records:
         layer, saved = records.pop()
-        if records or input_grad:
-            gy, grads = layer.backward(model.params, saved, gy, grad_names)
-        else:
-            gy, grads = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
+        options = {}
+        if not (records or input_grad):
+            options["input_grad"] = False
+        if tape.row_terms and grad_names & set(layer.param_names()):
+            options["rows"] = True
+        gy, grads = layer.backward(model.params, saved, gy, grad_names, **options)
         del saved  # the last reference: the layer's saved arrays are freed here
         param_grads.update(grads)
     return gy, param_grads

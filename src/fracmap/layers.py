@@ -21,7 +21,8 @@ one. Every layer implements three passes over plain float64 ndarrays:
   reverse-mode gradients; parameter gradients are summed over the batch and
   only materialized for names in ``grad_names``. Layers with parameters also
   take ``input_grad=False``, which skips ``gx`` (returned as None) for a
-  caller that reads only the parameter gradients,
+  caller that reads only the parameter gradients, and ``rows=True``, which
+  leaves each parameter gradient as its per-row ``RowTerms`` (below),
 * ``multipliers(params, saved_x, saved_ref, m_out) -> m_in`` for
   reference-based contribution backpropagation. For an affine layer the
   delta passes through the transpose and any bias cancels between the two
@@ -51,7 +52,9 @@ else shares the batch (README, "Speed and exactness"):
   planes (``_pitched``, saved as ``xp``), each plane starting on a
   GEMM_TILE column, so BLAS sums every column with its full-tile kernel.
   The input gradient runs the same loop over ``gy`` with the flipped,
-  transposed kernel; the weight gradient is a per-image GEMM and a batch sum.
+  transposed kernel; the weight gradient is a per-image GEMM and a batch
+  sum per kernel offset, and the bias gradient sums each image's plane,
+  then the batch.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``.
   Gradient and multipliers route to the first view equal to ``y``
   (``_first_max``); the gradient by bit select, without temporaries.
@@ -60,13 +63,20 @@ else shares the batch (README, "Speed and exactness"):
   tile of a GEMM of one size. A plain ``x @ w.T`` gives a row other last
   bits in a batch of one, in a batch's last partial tile, and once the
   product passes OpenBLAS's size switch. The weight gradient is a batch sum
-  and stays one GEMM.
+  and stays one GEMM, ``gy.T @ x``.
+
+A parameter gradient's ``RowTerms`` are its arrays before the batch sum,
+one leading entry per image: a conv weight's per-offset GEMM stacks, a conv
+bias's plane sums, a dense layer's ``gy`` and ``x``. ``sum_row_terms``
+joins the terms of row parts of a batch in row order and totals them with
+the call the summed gradient makes; it gets the very arrays one pass over
+the whole batch sums, so it returns that pass's bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -79,6 +89,8 @@ __all__ = [
     "GlobalAvgPool",
     "Flatten",
     "Dense",
+    "RowTerms",
+    "sum_row_terms",
     "LAYER_KINDS",
 ]
 
@@ -102,6 +114,38 @@ def round_up_to_tile(n):
 
 class LayerShapeError(ValueError):
     """Raised when a layer cannot accept the shape flowing into it."""
+
+
+@dataclass(frozen=True)
+class RowTerms:
+    """A parameter gradient before its batch sum: ``total(*arrays)`` is the
+    gradient, and each array has one leading entry per image."""
+
+    total: object
+    arrays: tuple
+
+
+def sum_row_terms(parts):
+    """One gradient per parameter from row parts' ``{name: RowTerms}``, given
+    in row order: each array is joined over the parts, then totalled once."""
+    return {
+        name: terms.total(*(np.concatenate(a) for a in zip(*(p[name].arrays for p in parts))))
+        for name, terms in parts[0].items()
+    }
+
+
+def _totals(terms, rows):
+    """``terms`` as they are for ``rows``, else each totalled."""
+    return terms if rows else {name: t.total(*t.arrays) for name, t in terms.items()}
+
+
+_batch_sum = partial(np.sum, axis=0)
+
+
+def _offset_sums(shape, *stacks):
+    """A (O, C, kh, kw) weight gradient from one (n, O, C) stack per kernel
+    offset, in row-major offset order: each stack summed over the batch."""
+    return np.stack([stack.sum(axis=0) for stack in stacks], axis=-1).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -153,7 +197,7 @@ class Standardize(_Affine):
         std = params[f"{self.name}.std"][None, :, None, None]
         return (x - mean) / std, {}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True):
+    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
         if not input_grad:
             return None, {}
         std = params[f"{self.name}.std"][None, :, None, None]
@@ -272,22 +316,30 @@ class Conv2d(_Affine):
         y, xp = self._correlate(x, taps, self._pads(), params[f"{self.name}.bias"])
         return y, {"xp": xp}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True):
+    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
         w = params[f"{self.name}.weight"]
         xp = saved["xp"]
         (n, o, oh, ow), c = gy.shape, self.in_channels
-        grads = {}
+        terms = {}
         if f"{self.name}.bias" in grad_names:
-            grads[f"{self.name}.bias"] = gy.sum(axis=(0, 2, 3))
+            # Each image's plane sum, then the batch sum, has the bytes of
+            # gy.sum(axis=(0, 2, 3)), except with one output channel, when
+            # numpy sums gy as one flat array: its row term is then gy.
+            if o > 1:
+                terms[f"{self.name}.bias"] = RowTerms(_batch_sum, (gy.sum(axis=(2, 3)),))
+            else:
+                terms[f"{self.name}.bias"] = RowTerms(partial(np.sum, axis=(0, 2, 3)), (gy,))
         if f"{self.name}.weight" in grad_names:
-            # Per-image GEMM, then a sum over the batch, per kernel offset.
+            # Per kernel offset, one GEMM per image, stacked (n, O, C); each
+            # stack's sum over the batch is left to the terms.
             gym = gy.reshape(n, o, oh * ow)
-            gw = np.empty_like(w)
+            stacks = []
             for dh, dw in self._offsets():
                 xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
                 xs = xs.reshape(n, c, oh * ow)
-                gw[:, :, dh, dw] = np.matmul(gym, xs.transpose(0, 2, 1)).sum(axis=0)
-            grads[f"{self.name}.weight"] = gw
+                stacks.append(np.matmul(gym, xs.transpose(0, 2, 1)))
+            terms[f"{self.name}.weight"] = RowTerms(partial(_offset_sums, w.shape), tuple(stacks))
+        grads = _totals(terms, rows)
         if not input_grad:
             return None, grads
         # Forward's correlation over gy padded by k - 1 - p, with the kernel
@@ -466,14 +518,14 @@ class Dense(_Affine):
         b = params[f"{self.name}.bias"]
         return self._by_row_blocks(x, w.T) + b[None, :], {"x": x}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True):
+    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
         w = params[f"{self.name}.weight"]
-        grads = {}
+        terms = {}
         if f"{self.name}.weight" in grad_names:
-            grads[f"{self.name}.weight"] = gy.T @ saved["x"]
+            terms[f"{self.name}.weight"] = RowTerms(lambda gy, x: gy.T @ x, (gy, saved["x"]))
         if f"{self.name}.bias" in grad_names:
-            grads[f"{self.name}.bias"] = gy.sum(axis=0)
-        return (self._by_row_blocks(gy, w) if input_grad else None), grads
+            terms[f"{self.name}.bias"] = RowTerms(_batch_sum, (gy,))
+        return (self._by_row_blocks(gy, w) if input_grad else None), _totals(terms, rows)
 
 
 LAYER_KINDS = {

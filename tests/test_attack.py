@@ -119,14 +119,13 @@ def pgd_one_pass(model, xb, labels, cfg):
 
 
 class TestPgdRowParts:
-    # With 3 cores a 32-image batch splits into parts of 10, 11 and 11 rows,
-    # so part edges fall inside GEMM tiles.
-    @pytest.mark.parametrize("cores", [2, 3])
+    # A 32-image batch splits into 4 parts of 8 rows, and a 27-image batch
+    # into 3 parts of 9, whose edges fall inside GEMM tiles.
+    @pytest.mark.parametrize("n", [32, 27])
     @pytest.mark.parametrize("random_start", [False, True])
-    def test_split_batch_equals_one_pass(self, quick_model, quick_dataset, monkeypatch, cores, random_start):
-        monkeypatch.setattr("fracmap.autodiff._cores", lambda: cores)
-        xb, yb = next(quick_dataset.batches("train", 32))
-        assert len(xb) == 32
+    def test_split_batch_equals_one_pass(self, quick_model, quick_dataset, monkeypatch, n, random_start):
+        xb, yb = next(quick_dataset.batches("train", n))
+        assert len(xb) == n
         cfg = AttackConfig(epsilon=EPS, step_size=1 / 255, iters=3, random_start=random_start, seed=4)
         expect = pgd_one_pass(quick_model, xb, yb, cfg)
         threads = []
@@ -137,11 +136,10 @@ class TestPgdRowParts:
 
         monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
         assert pgd_batch(quick_model, xb, yb, cfg).tobytes() == expect.tobytes()
-        assert len(threads) == cores * cfg.iters
+        assert len(threads) == len(row_parts(n)) * cfg.iters
         assert threading.get_ident() not in threads
 
     def test_small_batch_runs_on_the_calling_thread(self, quick_model, quick_dataset, monkeypatch):
-        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
         xb, yb = next(quick_dataset.batches("train", 2 * GEMM_TILE - 1))
         threads = []
 

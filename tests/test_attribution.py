@@ -428,8 +428,7 @@ class TestIntegratedGradients:
 
     # 70 steps make one pass of MAP_BATCH points, split, and one of 6, not.
     @pytest.mark.parametrize("n_steps", [20, 70])
-    def test_split_passes_equal_one_pass(self, quick_model, quick_dataset, monkeypatch, n_steps):
-        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 3)
+    def test_split_passes_equal_one_pass(self, quick_model, quick_dataset, n_steps):
         x = quick_dataset.images[quick_dataset.split_indices("test")[1]]
         base = rand_image(20, quick_model.input_shape)
         diff = x.array - base.array
@@ -446,7 +445,6 @@ class TestIntegratedGradients:
         assert attr.tobytes() == expect.tobytes()
 
     def test_small_pass_runs_on_the_calling_thread(self, quick_model, monkeypatch):
-        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
         threads = []
 
         def recorded(model, xb):

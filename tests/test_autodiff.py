@@ -1,7 +1,9 @@
 """Forward evaluation, tape semantics, and gradient correctness."""
 
 import os
+import queue
 import resource
+import threading
 import tracemalloc
 import weakref
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracmap.autodiff
 from fracmap.autodiff import (
     OCCLUSION_BATCH,
     TapeError,
@@ -477,15 +480,17 @@ class TestBatchInvariance:
 
 
 class TestRowParts:
+    # The split does not depend on how many cores run the parts.
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 15, 16, 23, 24, 32, 64])
     def test_parts_cover_the_rows_in_order(self, monkeypatch, cores, n):
         monkeypatch.setattr("fracmap.autodiff._cores", lambda: cores)
         parts = row_parts(n)
-        assert len(parts) == max(1, min(cores, n // GEMM_TILE))
+        assert len(parts) == max(1, n // GEMM_TILE)
         assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
         assert parts[-1].stop == n
         assert len(parts) == 1 or min(p.stop - p.start for p in parts) >= GEMM_TILE
+        assert max(p.stop - p.start for p in parts) < 2 * GEMM_TILE
 
     def test_results_come_back_in_row_order_and_errors_reach_the_caller(self, monkeypatch):
         monkeypatch.setattr("fracmap.autodiff._cores", lambda: 3)
@@ -499,6 +504,49 @@ class TestRowParts:
 
         with pytest.raises(ValueError, match="last part"):
             map_row_parts(fails_on_the_last_part, rows)
+
+    def test_a_part_may_split_its_own_rows(self, monkeypatch):
+        # Inside a part every pool worker may be busy, so the inner parts run
+        # on the part's own thread. A fresh pool of 2 workers is busy with
+        # the 2 outer parts, each of which splits 4 copies of its rows. The
+        # helper thread turns a hang into a failed join; running the queued
+        # inner parts here then frees the stuck workers, so that the suite
+        # can still exit.
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
+        monkeypatch.setattr("fracmap.autodiff._pool", None)
+        rows = np.arange(2.0 * GEMM_TILE)
+        inner_threads, result = [], []
+
+        def outer(a):
+            def inner(b):
+                inner_threads.append((threading.get_ident(), outer_thread))
+                return 2 * b
+
+            outer_thread = threading.get_ident()
+            return np.concatenate(map_row_parts(inner, np.tile(a, 4)))[: len(a)]
+
+        helper = threading.Thread(
+            target=lambda: result.append(np.concatenate(map_row_parts(outer, rows))), daemon=True
+        )
+        helper.start()
+        helper.join(timeout=10)
+        hung = helper.is_alive()
+        pool = fracmap.autodiff._pool
+        while hung:
+            try:
+                queued = pool._work_queue.get_nowait()
+            except queue.Empty:
+                break
+            queued.run()
+        pool.shutdown()
+        assert not hung, "a map_row_parts call inside a part did not return"
+        assert np.array_equal(result[0], 2 * rows)
+        assert len(inner_threads) == 2 * 4
+        assert all(inner == outer for inner, outer in inner_threads)
+
+    def test_parts_run_under_the_callers_numpy_error_state(self):
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            map_row_parts(lambda a: 1.0 / a, np.zeros(32))
 
 
 class TestGradInput:

@@ -1,17 +1,25 @@
 """Training loops, the zero-radius equivalence, and accuracy evaluation."""
 
+import importlib
+import threading
+
 import numpy as np
 import pytest
 
 from fracmap.attack import AttackConfig
-from fracmap.autodiff import forward
+from fracmap.autodiff import backward_batch, forward, forward_batch, row_parts
 from fracmap.coverage import AnnotationSet
+from fracmap.layers import GEMM_TILE
+from fracmap.loss import cross_entropy, cross_entropy_grad
 from fracmap.model import tiny_cnn
 from fracmap.synth import FRACTURED, HEALTHY, Dataset, generate_dataset
 from fracmap.tensor import Tensor
-from fracmap.train import DivergenceError, TrainConfig, adv_train, evaluate, train
+from fracmap.train import DivergenceError, TrainConfig, _Adam, adv_train, evaluate, train
 
-from conftest import SMALL_CFG, frozen_backbone, linear_model
+from conftest import SMALL_CFG, frozen_backbone, linear_model, random_cnn
+
+# The module: the package's ``fracmap.train`` attribute is the train function.
+TRAIN_MODULE = importlib.import_module("fracmap.train")
 
 
 def brightness_dataset(n_per_class=4, side=4):
@@ -140,6 +148,101 @@ class TestAdvTrain:
         for name, flag in m.trainable.items():
             if not flag:
                 assert np.array_equal(res.model.params[name], m.params[name])
+
+
+def train_one_pass(model, ds, cfg):
+    """Standard training as one taped pass over the whole batch per step, on
+    the calling thread: (trained params, loss trace)."""
+    trainable = [n for n, flag in model.trainable.items() if flag]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    work = {n: model.params[n].copy() for n in trainable}
+    opt = _Adam(trainable, cfg)
+    trace = []
+    for _ in range(cfg.epochs):
+        losses = []
+        for xb, yb in ds.batches("train", cfg.batch_size, rng):
+            current = model.with_params({**model.params, **work})
+            logits, tape = forward_batch(current, xb)
+            losses.append(float(np.mean(cross_entropy(logits, yb))))
+            seed = cross_entropy_grad(logits, yb) / len(yb)
+            _, grads = backward_batch(tape, seed, frozenset(trainable), input_grad=False)
+            opt.step(work, grads)
+        trace.append(float(np.mean(losses)))
+    return {**model.params, **work}, trace
+
+
+def train_recording_threads(model, ds, cfg, monkeypatch):
+    """``train`` with the thread of every taped pass recorded: (result, threads)."""
+    threads = []
+
+    def recorded(model, xb):
+        threads.append(threading.get_ident())
+        return forward_batch(model, xb)
+
+    monkeypatch.setattr(TRAIN_MODULE, "forward_batch", recorded)
+    return train(model, ds, cfg), threads
+
+
+def assert_same_bytes(result, params, trace):
+    assert sorted(result.model.params) == sorted(params)
+    for name, value in params.items():
+        assert result.model.params[name].tobytes() == value.tobytes(), name
+    assert np.array(result.loss_trace).tobytes() == np.array(trace).tobytes()
+
+
+class TestTrainRowParts:
+    # A 32-image batch splits into 4 parts of 8 rows, and a 27-image batch
+    # into 3 parts of 9, whose edges fall inside GEMM tiles. The quick corpus
+    # has 96 train images: batches of 27 end with a short batch of 15, which
+    # is one part.
+    @pytest.mark.parametrize("batch_size", [32, 27])
+    def test_split_batches_equal_one_pass(self, quick_dataset, monkeypatch, batch_size):
+        cfg = TrainConfig(epochs=1, batch_size=batch_size, seed=3)
+        params, trace = train_one_pass(tiny_cnn(3), quick_dataset, cfg)
+        result, threads = train_recording_threads(tiny_cnn(3), quick_dataset, cfg, monkeypatch)
+        assert_same_bytes(result, params, trace)
+        sizes = [len(yb) for _, yb in quick_dataset.batches("train", batch_size)]
+        assert len(threads) == sum(len(row_parts(n)) for n in sizes)
+        on_caller = sum(len(row_parts(n)) == 1 for n in sizes)
+        assert threads.count(threading.get_ident()) == on_caller
+        assert on_caller == (batch_size == 27)
+
+    def test_small_batches_run_on_the_calling_thread(self, small_dataset, monkeypatch):
+        cfg = TrainConfig(epochs=1, batch_size=2 * GEMM_TILE - 1, seed=4)
+        model = tiny_cnn(4, input_shape=(1, 32, 32))
+        params, trace = train_one_pass(model, small_dataset, cfg)
+        result, threads = train_recording_threads(model, small_dataset, cfg, monkeypatch)
+        assert_same_bytes(result, params, trace)
+        assert threads == [threading.get_ident()] * 5  # 64 train images: 4 x 15 + 4
+
+    def test_frozen_backbone_pass_stops_at_the_head(self, quick_dataset, monkeypatch):
+        model = frozen_backbone(tiny_cnn(5))
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=5)
+        params, trace = train_one_pass(model, quick_dataset, cfg)
+        grad_names = []
+
+        def recorded(tape, seed, names, **kwargs):
+            gx, terms = backward_batch(tape, seed, names, **kwargs)
+            grad_names.append(sorted(terms))
+            return gx, terms
+
+        monkeypatch.setattr(TRAIN_MODULE, "backward_batch", recorded)
+        result = train(model, quick_dataset, cfg)
+        assert_same_bytes(result, params, trace)
+        assert grad_names == [["head.bias", "head.weight"]] * 12  # 3 batches of 4 parts
+        for name, flag in model.trainable.items():
+            if not flag:
+                assert result.model.params[name].tobytes() == model.params[name].tobytes()
+
+    def test_gap_head_cnn_over_two_epochs(self, small_dataset, monkeypatch):
+        # 64 train images in batches of 24: 3 + 3 + 2 parts per epoch.
+        model = random_cnn(6, input_shape=(1, 32, 32), channels=(4, 6), head="gap")
+        cfg = TrainConfig(epochs=2, batch_size=24, seed=6)
+        params, trace = train_one_pass(model, small_dataset, cfg)
+        result, threads = train_recording_threads(model, small_dataset, cfg, monkeypatch)
+        assert_same_bytes(result, params, trace)
+        assert len(trace) == 2
+        assert len(threads) == 2 * 8 and threading.get_ident() not in threads
 
 
 def test_quick_model_fits_its_corpus(quick_dataset, quick_model):

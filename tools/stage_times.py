@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Wall time of the pipeline stages that no perfbench workload times.
 
-    python3 tools/stage_times.py TREE [REPEATS]   (about 30 s on a 2-vCPU host)
+    python3 tools/stage_times.py TREE [REPEATS]   (about a minute on a 2-vCPU host)
 
 It first prints the host, so that before/after numbers name it: ``nproc``,
 the cores the process may run on (its affinity mask, which sets how many
-row parts a PGD or integrated-gradients pass splits into), the BLAS build,
-and whether BLAS is pinned to one thread.
+row parts of a training step, a PGD or an integrated-gradients pass run at
+once), the BLAS build, and whether BLAS is pinned to one thread.
 
 Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
 corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
@@ -21,6 +21,12 @@ delta), which shows allocation churn without a tracer:
   0/15/75/85/95, over the annotated test images;
 * ``adv_accuracy``: PGD-10 (epsilon 0.0157, step 0.0039) on the test
   split, for both models.
+
+Next it times two training epochs of ``tiny_cnn(5)`` at batch 32 on the
+train split of a 64x64 corpus of 160 images from seed 5, REPEATS times
+each, with the same three figures and the images per second of the median:
+one standard epoch, and one adversarial epoch against PGD-5 (epsilon 4/255,
+step 2/255, the reference recipe of ``perfbench/``'s ``train_adv``).
 
 Then it prints the median milliseconds per image of each attribution
 method (saliency, occlusion 8x8 at stride 4, DeepLIFT from a zero image
@@ -68,6 +74,8 @@ METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
 LAYER_BATCH = 32
 LAYER_INPUT = (1, 64, 64)
 MAP_IMAGES = 8
+EPOCH_IMAGES = 160
+EPOCH_ATTACK = {"epsilon": 4 / 255, "step_size": 2 / 255, "iters": 5}
 
 
 def _timed(fn, repeats):
@@ -132,6 +140,24 @@ def _layer_times(tiny_cnn, repeats):
         (name, statistics.median(f), statistics.median(g), statistics.median(p) if p else None)
         for name, (f, g, p) in times.items()
     ]
+
+
+def _epochs():
+    """The train-split size, and one standard and one PGD-5 epoch of
+    tiny_cnn(5) at batch 32 on a 64x64 corpus, each as a callable."""
+    from fracmap.attack import AttackConfig
+    from fracmap.model import tiny_cnn
+    from fracmap.synth import generate_dataset
+    from fracmap.train import TrainConfig, adv_train, train
+
+    ds = generate_dataset(5, EPOCH_IMAGES)
+    model = tiny_cnn(5, input_shape=ds.image_shape)
+    cfg = TrainConfig(epochs=1, batch_size=LAYER_BATCH, seed=5)
+    atk = AttackConfig(**EPOCH_ATTACK)
+    return len(ds.split_indices("train")), {
+        "standard epoch": lambda: train(model, ds, cfg),
+        "PGD-5 epoch": lambda: adv_train(model, ds, atk, cfg),
+    }
 
 
 def _map_times(repeats):
@@ -205,6 +231,14 @@ def main(argv=None) -> int:
         print(
             f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
             f"{faults:g} minor faults per run (median) over {repeats} runs"
+        )
+    n_train, epochs = _epochs()
+    print(f"training epochs at batch {LAYER_BATCH} on {n_train} train images of 64x64")
+    for name, fn in epochs.items():
+        median, fastest, faults = _timed(fn, repeats)
+        print(
+            f"{name}: median {median:.3f} s ({n_train / median:.0f} images/s), fastest "
+            f"{fastest:.3f} s, {faults:g} minor faults per run (median) over {repeats} runs"
         )
     print(f"attribution maps on {MAP_IMAGES} annotated 64x64 images: median ms per image")
     for method, ms in _map_times(repeats).items():
