@@ -266,13 +266,25 @@ def _mark_pool_thread():
     _pool_thread.active = True
 
 
+def _forget_pool():
+    """Drop the pool and its lock in a forked child: the child has none of
+    the pool's threads, and its copy of the lock may be held by a thread
+    that does not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def map_row_parts(fn, *arrays) -> list:
     """``[fn(*(a[part] for a in arrays)) for part in row_parts(n)]``, n the
     arrays' common length, with the parts run on the module's thread pool.
     A single part runs on the calling thread, and so do all parts when the
     caller is itself a pool thread, whose pool may have no free worker to
     wait for. The results come back in row order; an error in a part is
-    raised here."""
+    raised here. A forked child makes a pool of its own on first use."""
     parts = row_parts(len(arrays[0]))
     if len(parts) == 1 or getattr(_pool_thread, "active", False):
         return [fn(*(a[part] for a in arrays)) for part in parts]

@@ -34,7 +34,9 @@ one. Every layer implements three passes over plain float64 ndarrays:
   so the final contributions sum to the output change from the reference.
 
 Each class declares its parameters once, in ``param_specs()``: one
-``(name, shape, trainable by default)`` per parameter, in MWF1 blob order;
+``(name, shape, trainable)`` per parameter, in MWF1 blob order, where
+``trainable`` says whether ``backward`` has a gradient for it (a model may
+still freeze such a parameter, but never trains one without);
 ``param_names()`` reads it. Each class also names the ``key=value`` fields
 of its MWF1 ``layer.N`` line: ``file_fields`` lists ``(key, attribute,
 cast)`` in on-disk order, after the leading kind word and ``name=``.
@@ -47,14 +49,18 @@ else shares the batch (README, "Speed and exactness"):
 
 * ``Conv2d`` runs, per kernel offset, one channel-first GEMM
   ``(O x C) @ (C x columns)`` over a block of images sized by
-  ``CONV_BLOCK_VALUES``, or a broadcast multiply when C == 1. The columns
-  are contiguous slices of one zeroed buffer of row-pitched, zero-padded
-  planes (``_pitched``, saved as ``xp``), each plane starting on a
-  GEMM_TILE column, so BLAS sums every column with its full-tile kernel.
-  The input gradient runs the same loop over ``gy`` with the flipped,
-  transposed kernel; the weight gradient is a per-image GEMM and a batch
-  sum per kernel offset, and the bias gradient sums each image's plane,
-  then the batch.
+  ``CONV_BLOCK_VALUES``. The columns are contiguous slices of one zeroed
+  buffer of row-pitched, zero-padded planes (``_pitched``, saved as
+  ``xp``), each plane starting on a GEMM_TILE column, so BLAS sums every
+  column with its full-tile kernel. Where the correlation has one input
+  channel or one output row, the kernel offsets are a GEMM axis instead
+  (``_correlate``): the offsets' column runs stacked, times the weights,
+  or the rows of one (taps x C) product added, shifted, in offset order.
+  The input gradient runs the same correlation over ``gy`` with the
+  flipped, transposed kernel; the weight gradient is a per-image GEMM per
+  kernel offset, or, with one input channel, one over all offsets'
+  windows, then a batch sum, and the bias gradient sums each image's
+  plane, then the batch.
 * ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``.
   Gradient and multipliers route to the first view equal to ``y``
   (``_first_max``); the gradient by bit select, without temporaries.
@@ -66,7 +72,7 @@ else shares the batch (README, "Speed and exactness"):
   and stays one GEMM, ``gy.T @ x``.
 
 A parameter gradient's ``RowTerms`` are its arrays before the batch sum,
-one leading entry per image: a conv weight's per-offset GEMM stacks, a conv
+one leading entry per image: a conv weight's per-image GEMM stacks, a conv
 bias's plane sums, a dense layer's ``gy`` and ``x``. ``sum_row_terms``
 joins the terms of row parts of a batch in row order and totals them with
 the call the summed gradient makes; it gets the very arrays one pass over
@@ -144,7 +150,8 @@ _batch_sum = partial(np.sum, axis=0)
 
 def _offset_sums(shape, *stacks):
     """A (O, C, kh, kw) weight gradient from one (n, O, C) stack per kernel
-    offset, in row-major offset order: each stack summed over the batch."""
+    offset, in row-major offset order, or, with C == 1, one (n, O, taps)
+    stack: each stack summed over the batch."""
     return np.stack([stack.sum(axis=0) for stack in stacks], axis=-1).reshape(shape)
 
 
@@ -283,10 +290,17 @@ class Conv2d(_Affine):
         """x, zero-padded by ``pads``, correlated with ``taps``, a list of
         ((dh, dw), matrix) pairs, plus ``bias``; and x's padded planes.
 
-        Per block of images, each output column sums, from +0.0 and in list
-        order, one channel-first GEMM (rows x C) @ (C x columns) per tap,
-        whose columns are a slice of the pitched buffer dh * wp + dw on. With
-        C == 1 the product has K = 1 and a broadcast multiply is exact.
+        Per block of images, tap t reads the columns of the pitched buffer
+        that start dh * wp + dw on. With C input channels and ``rows``
+        output rows, each output column is, before the bias:
+
+        * C == 1: one GEMM (rows x taps) @ (taps x columns) over the taps'
+          column runs stacked;
+        * rows == 1: row t of one GEMM (taps x C) @ (C x columns + tail)
+          over the block's buffer, added from +0.0 in list order, each row
+          shifted to its tap's start;
+        * else: one GEMM (rows x C) @ (C x columns) per tap, added from
+          +0.0 in list order.
         """
         ph, pw = pads
         n, c, h, wdt = x.shape
@@ -296,14 +310,28 @@ class Conv2d(_Affine):
         xp = planes.transpose(1, 0, 2, 3)
         xp[:, :, ph : ph + h, pw : pw + wdt] = x
         oh, ow = hp - self.kernel_h + 1, wp - self.kernel_w + 1
+        starts = [dh * wp + dw for (dh, dw), _ in taps]
+        if c == 1:
+            stacked = np.concatenate([m for _, m in taps], axis=1)
+        elif rows == 1:
+            stacked = np.concatenate([m for _, m in taps], axis=0)
         y = np.empty((n, rows, oh, ow), dtype=np.float64)
         step = self._block(oh, ow)
         for i in range(0, n, step):
             k = min(step, n - i)
-            acc = np.zeros((rows, k * stride), dtype=np.float64)
-            for (dh, dw), m in taps:
-                xs = buf[:, i * stride + dh * wp + dw :][:, : k * stride]
-                acc += m * xs if c == 1 else m @ xs
+            cols, block = k * stride, buf[:, i * stride :]
+            if c == 1:
+                acc = stacked @ np.stack([block[0, s : s + cols] for s in starts])
+            elif rows == 1:
+                # Whole tiles: past the block's last plane, the buffer's tail.
+                prods = stacked @ block[:, : round_up_to_tile(cols + max(starts))]
+                acc = np.zeros((1, cols), dtype=np.float64)
+                for t, s in enumerate(starts):
+                    acc += prods[t, s : s + cols]
+            else:
+                acc = np.zeros((rows, cols), dtype=np.float64)
+                for s, (_, m) in zip(starts, taps):
+                    acc += m @ block[:, s : s + cols]
             if bias is not None:
                 acc += bias[:, None]
             acc = acc.reshape(rows, k, stride)[:, :, : hp * wp].reshape(rows, k, hp, wp)
@@ -330,15 +358,19 @@ class Conv2d(_Affine):
             else:
                 terms[f"{self.name}.bias"] = RowTerms(partial(np.sum, axis=(0, 2, 3)), (gy,))
         if f"{self.name}.weight" in grad_names:
-            # Per kernel offset, one GEMM per image, stacked (n, O, C); each
-            # stack's sum over the batch is left to the terms.
+            # One GEMM per image, stacked (n, O, C) per kernel offset, or,
+            # with one input channel, (n, O, taps) over every offset's
+            # window at once; each stack's sum over the batch is left to
+            # the terms.
             gym = gy.reshape(n, o, oh * ow)
-            stacks = []
-            for dh, dw in self._offsets():
-                xs = np.ascontiguousarray(xp[:, :, dh : dh + oh, dw : dw + ow])
-                xs = xs.reshape(n, c, oh * ow)
-                stacks.append(np.matmul(gym, xs.transpose(0, 2, 1)))
-            terms[f"{self.name}.weight"] = RowTerms(partial(_offset_sums, w.shape), tuple(stacks))
+            windows = [xp[:, :, dh : dh + oh, dw : dw + ow] for dh, dw in self._offsets()]
+            if c == 1:
+                windows = [np.concatenate(windows, axis=1)]
+            stacks = tuple(
+                np.matmul(gym, np.ascontiguousarray(xs).reshape(n, -1, oh * ow).transpose(0, 2, 1))
+                for xs in windows
+            )
+            terms[f"{self.name}.weight"] = RowTerms(partial(_offset_sums, w.shape), stacks)
         grads = _totals(terms, rows)
         if not input_grad:
             return None, grads

@@ -67,6 +67,12 @@ class WeightFormatError(ValueError):
     """Raised when a weight file cannot be decoded."""
 
 
+def _untrainable(layers):
+    """The names of the parameters that ``layers`` declare untrainable: a
+    Standardize layer's backward returns no parameter gradients."""
+    return {pname for layer in layers for pname, _, can_train in layer.param_specs() if not can_train}
+
+
 class Model:
     """An immutable sequential CNN with named parameters.
 
@@ -130,6 +136,9 @@ class Model:
             frozen[pname] = arr
 
         flags = {pname: bool(trainable.get(pname, dflt)) for pname, (_, dflt) in expected.items()}
+        for pname in _untrainable(layers):
+            if flags[pname]:
+                raise ModelError(f"parameter {pname!r} cannot be trainable: its layer has no gradient for it")
 
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "params", frozen)
@@ -373,7 +382,12 @@ def load_model(path):
     params = {}
     trainable = {}
     offset = 0
-    for pname, shape, declared, flag in specs:
+    untrainable = _untrainable(layers)
+    for i, (pname, shape, declared, flag) in enumerate(specs):
+        if flag and pname in untrainable:
+            raise WeightFormatError(
+                f"manifest in {path}: param.{i}: parameter {pname!r} cannot be trainable"
+            )
         if declared != offset:
             raise WeightFormatError(
                 f"offset inconsistency for {pname!r} in {path}: declared {declared}, "

@@ -3,6 +3,7 @@
 import os
 import queue
 import resource
+import signal
 import threading
 import tracemalloc
 import weakref
@@ -543,6 +544,31 @@ class TestRowParts:
         assert np.array_equal(result[0], 2 * rows)
         assert len(inner_threads) == 2 * 4
         assert all(inner == outer for inner, outer in inner_threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_parts_on_a_pool_of_its_own(self, monkeypatch):
+        # The child inherits the parent's pool of 2 workers, both started by
+        # the barrier, but none of their threads. An alarm kills a child
+        # whose call hangs, so that the test fails and the parent's wait
+        # returns.
+        monkeypatch.setattr("fracmap.autodiff._cores", lambda: 2)
+        monkeypatch.setattr("fracmap.autodiff._pool", None)
+        rows, both_started = np.arange(2.0 * GEMM_TILE), threading.Barrier(2, timeout=10)
+        map_row_parts(lambda a: (both_started.wait(), 2 * a)[1], rows)
+        pool = fracmap.autodiff._pool
+        pid = os.fork()
+        if pid == 0:  # the child: leave only through os._exit
+            status = 3
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(5)
+                parts = map_row_parts(lambda a: 2 * a, rows)
+                status = 0 if np.array_equal(np.concatenate(parts), 2 * rows) else 1
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        pool.shutdown()
+        assert os.waitstatus_to_exitcode(status) == 0, "map_row_parts in a forked child hung or failed"
 
     def test_parts_run_under_the_callers_numpy_error_state(self):
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):

@@ -12,6 +12,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmap.attribution import deeplift_contributions
 from fracmap.autodiff import forward_values
@@ -91,7 +93,8 @@ class TestConv2dOracle:
 
 
 # The blocked Conv2d kernel before it read a row-pitched buffer, frozen as
-# a byte oracle: np.pad, a window copy per kernel offset, and the input
+# a byte oracle for at least two input and two output channels: np.pad, a
+# window copy per kernel offset, and the input
 # gradient added into strided windows. Blocks hold 32768 output values. It
 # is compared on planes whose oh*ow is a multiple of 8 only: on the others
 # it gave each image its own product, whose last columns BLAS computes with
@@ -114,10 +117,7 @@ def _frozen_conv_forward(x, w, b, ph, pw):
         for dh in range(kh):
             for dw in range(kw):
                 xs = np.ascontiguousarray(blk[:, :, dh : dh + oh, dw : dw + ow]).reshape(c, m)
-                if c == 1:
-                    acc += w[:, 0, dh, dw][:, None] * xs
-                else:
-                    acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
+                acc += np.ascontiguousarray(w[:, :, dh, dw]) @ xs
         y[i : i + step] = acc.reshape(o, -1, oh, ow).transpose(1, 0, 2, 3)
     y += b[None, :, None, None]
     return y, xp
@@ -167,30 +167,183 @@ def _frozen_sample(c):
     return cases
 
 
-# One output channel, where the frozen input gradient runs a K = 1 GEMM.
-SINGLE_OUTPUT_CASES = [(1, (8, 8), 3, "same", 3), (1, (10, 12), 3, "valid", 8), (1, (16, 16), 5, "same", 1)]
+def _assert_frozen_bytes(c, o, hw, k, padding, n, forward, backward):
+    """The layer's output and all three gradients have the bytes of the
+    frozen ``forward(x, w, b, ph, pw) -> (y, xp)`` and ``backward(xp, w,
+    gy, ph, pw) -> (gx, gw, gb)``."""
+    layer = Conv2d("cv", c, o, k, k, padding)
+    ph, pw = layer._pads()
+    rng = np.random.default_rng(n * 1000 + o * 10 + k)
+    w, b = rng.standard_normal((o, c, k, k)), rng.standard_normal(o)
+    params = {"cv.weight": w, "cv.bias": b}
+    x = rng.standard_normal((n, c) + hw)
+    y, saved = layer.forward(params, x)
+    y0, xp0 = forward(x, w, b, ph, pw)
+    gy = rng.standard_normal(y0.shape)
+    gx, grads = layer.backward(params, saved, gy, frozenset(params))
+    gx0, gw0, gb0 = backward(xp0, w, gy, ph, pw)
+    case = (c, o, hw, k, padding, n)
+    assert y.tobytes() == y0.tobytes(), case
+    assert gx.tobytes() == gx0.tobytes(), case
+    assert grads["cv.weight"].tobytes() == gw0.tobytes(), case
+    assert grads["cv.bias"].tobytes() == gb0.tobytes(), case
 
 
 class TestConv2dFrozenKernel:
-    @pytest.mark.parametrize("c", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("c", [2, 3, 8, 16])
     def test_bytes_match_the_frozen_blocked_kernel(self, c):
-        for o, hw, k, padding, n in _frozen_sample(c) + SINGLE_OUTPUT_CASES:
-            layer = Conv2d("cv", c, o, k, k, padding)
-            ph, pw = layer._pads()
-            rng = np.random.default_rng(n * 1000 + o * 10 + k)
-            w, b = rng.standard_normal((o, c, k, k)), rng.standard_normal(o)
-            params = {"cv.weight": w, "cv.bias": b}
-            x = rng.standard_normal((n, c) + hw)
-            y, saved = layer.forward(params, x)
-            y0, xp0 = _frozen_conv_forward(x, w, b, ph, pw)
-            gy = rng.standard_normal(y0.shape)
-            gx, grads = layer.backward(params, saved, gy, frozenset(params))
-            gx0, gw0, gb0 = _frozen_conv_backward(xp0, w, gy, ph, pw)
-            case = (c, o, hw, k, padding, n)
-            assert y.tobytes() == y0.tobytes(), case
-            assert gx.tobytes() == gx0.tobytes(), case
-            assert grads["cv.weight"].tobytes() == gw0.tobytes(), case
-            assert grads["cv.bias"].tobytes() == gb0.tobytes(), case
+        for case in _frozen_sample(c):
+            _assert_frozen_bytes(c, *case, _frozen_conv_forward, _frozen_conv_backward)
+
+
+# Where one side of a correlation has size one, Conv2d makes its kernel
+# offsets a GEMM axis, frozen here as a byte oracle over np.pad window
+# copies, on the same planes as above. With one input channel (conv0):
+# stacked windows @ weights forward, one (taps*C) @ gy GEMM added into
+# shifted windows from +0.0 for the input gradient, and one batched matmul
+# of gy and the stacked windows per image for the weight gradient. With one
+# output channel the two correlations swap rules: forward adds the shifted
+# rows of one (taps*C) @ x GEMM, and the input gradient multiplies the
+# stacked windows of gy, padded by k - 1 - p, by the flipped weights.
+def _frozen_windows(xp, kh, kw, oh, ow):
+    """(n, taps, C * oh * ow) copies of the padded planes' windows, tap-major."""
+    n = xp.shape[0]
+    return np.stack(
+        [xp[:, :, dh : dh + oh, dw : dw + ow].reshape(n, -1) for dh in range(kh) for dw in range(kw)],
+        axis=1,
+    )
+
+
+def _frozen_stacked(xp, m, oh, ow, order=slice(None)):
+    """Per block, m (rows x taps) @ the stacked windows of one-channel
+    planes xp, the taps in window order or, with ``order``, another."""
+    n, kh, kw = xp.shape[0], *(d - s + 1 for d, s in zip(xp.shape[2:], (oh, ow)))
+    step = _frozen_block(1, m.shape[0], oh, ow)
+    y = np.empty((n, m.shape[0], oh, ow), dtype=np.float64)
+    for i in range(0, n, step):
+        win = _frozen_windows(xp[i : i + step], kh, kw, oh, ow)[:, order]
+        cols = np.ascontiguousarray(win.transpose(1, 0, 2)).reshape(m.shape[1], -1)
+        y[i : i + step] = (m @ cols).reshape(m.shape[0], -1, oh, ow).transpose(1, 0, 2, 3)
+    return y
+
+
+def _frozen_taps_input_grad(w, gy, shape, ph, pw):
+    """C == 1: per block, one (taps x O) @ gy GEMM, each tap's row added into
+    its shifted window of a zeroed padded gradient."""
+    (o, _, kh, kw), (n, _, oh, ow) = w.shape, gy.shape
+    wt = w.reshape(o, kh * kw).T
+    gx = np.empty((n, 1) + shape, dtype=np.float64)
+    step = _frozen_block(1, o, oh, ow)
+    for i in range(0, n, step):
+        gyb = gy[i : i + step].transpose(1, 0, 2, 3).reshape(o, -1)
+        k = gyb.shape[1] // (oh * ow)
+        prods = (wt @ gyb).reshape(kh, kw, k, oh, ow)
+        gxp = np.zeros((k, shape[0] + 2 * ph, shape[1] + 2 * pw), dtype=np.float64)
+        for dh in range(kh):
+            for dw in range(kw):
+                gxp[:, dh : dh + oh, dw : dw + ow] += prods[dh, dw]
+        gx[i : i + step, 0] = gxp[:, ph : ph + shape[0], pw : pw + shape[1]]
+    return gx
+
+
+def _frozen_taps_forward(xp, w, oh, ow):
+    """O == 1: per block, one (taps x C) @ x GEMM over the padded planes,
+    each tap's row read at its shifted window and added from +0.0."""
+    (_, c, kh, kw), n, (hp, wp) = w.shape, xp.shape[0], xp.shape[2:]
+    wt = w.reshape(c, kh * kw).T
+    y = np.empty((n, 1, oh, ow), dtype=np.float64)
+    step = _frozen_block(c, 1, oh, ow)
+    for i in range(0, n, step):
+        xb = xp[i : i + step].transpose(1, 0, 2, 3).reshape(c, -1)
+        prods = (wt @ xb).reshape(kh, kw, -1, hp, wp)
+        acc = np.zeros((prods.shape[2], oh, ow), dtype=np.float64)
+        for dh in range(kh):
+            for dw in range(kw):
+                acc += prods[dh, dw, :, dh : dh + oh, dw : dw + ow]
+        y[i : i + step, 0] = acc
+    return y
+
+
+def _frozen_one_side_forward(x, w, b, ph, pw):
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    o, c, kh, kw = w.shape
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    if c == 1:
+        y = _frozen_stacked(xp, w.reshape(o, kh * kw), oh, ow)
+    else:
+        y = _frozen_taps_forward(xp, w, oh, ow)
+    return y + b[None, :, None, None], xp
+
+
+def _frozen_one_side_backward(xp, w, gy, ph, pw):
+    """Input, weight and bias gradients."""
+    (o, c, kh, kw), (n, _, oh, ow) = w.shape, gy.shape
+    shape = (xp.shape[2] - 2 * ph, xp.shape[3] - 2 * pw)
+    if o == 1:
+        gyp = np.pad(gy, ((0, 0), (0, 0), (kh - 1 - ph, kh - 1 - ph), (kw - 1 - pw, kw - 1 - pw)))
+        # Tap t is forward's offset t, whose window lies k - 1 - (dh, dw) on.
+        gx = _frozen_stacked(gyp, w[0].reshape(c, kh * kw), *shape, order=slice(None, None, -1))
+    else:
+        gx = _frozen_taps_input_grad(w, gy, shape, ph, pw)
+    if c == 1:
+        win = _frozen_windows(xp, kh, kw, oh, ow)
+        gw = np.matmul(gy.reshape(n, o, -1), win.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    else:
+        gw = _frozen_conv_backward(xp, w, gy, ph, pw)[1]
+    return gx, gw, gy.sum(axis=(0, 2, 3))
+
+
+# One output channel, with one input channel and with several.
+SINGLE_OUTPUT_CASES = [
+    (c, 1) + case
+    for c in (1, 2, 3, 8, 16)
+    for case in [((8, 8), 3, "same", 3), ((10, 12), 3, "valid", 8), ((16, 16), 5, "same", 1)]
+]
+
+
+class TestConv2dOneSideFrozenKernel:
+    @pytest.mark.parametrize(
+        "case", [(1,) + case for case in _frozen_sample(1)] + SINGLE_OUTPUT_CASES, ids=str
+    )
+    def test_bytes_match_the_frozen_stacked_offset_kernel(self, case):
+        _assert_frozen_bytes(*case, _frozen_one_side_forward, _frozen_one_side_backward)
+
+
+@st.composite
+def _one_side_convs(draw):
+    """A conv with one input or one output channel, a batch around a block
+    boundary, and the rows of it to check."""
+    c, o = draw(st.sampled_from([(1, 1), (1, 2), (1, 8), (1, 16), (2, 1), (5, 1), (16, 1)]))
+    k, padding = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from(["same", "valid"]))
+    h, w = draw(st.integers(k, 19)), draw(st.integers(k, 19))
+    layer = Conv2d("cv", c, o, k, k, padding)
+    block = layer._block(*layer.out_shape((c, h, w))[1:])
+    n = max(1, draw(st.sampled_from([1, 2])) * min(block, 40) + draw(st.integers(-1, 1)))
+    rows = {0, n - 1, block - 1, block, draw(st.integers(0, n - 1))}
+    return layer, (n, c, h, w), sorted(r for r in rows if r < n), draw(st.integers(0, 2**32 - 1))
+
+
+class TestConv2dOneSideBatchInvariance:
+    # With one input or one output channel the kernel offsets are a GEMM
+    # axis; each image keeps the bytes of its batch-of-one pass.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=_one_side_convs())
+    def test_a_row_equals_its_batch_of_one(self, case):
+        layer, shape, rows, seed = case
+        rng = np.random.default_rng(seed)
+        params = {name: rng.standard_normal(pshape) for name, pshape, _ in layer.param_specs()}
+        x = rng.standard_normal(shape)
+        y, saved = layer.forward(params, x)
+        gy = rng.standard_normal(y.shape)
+        gx, terms = layer.backward(params, saved, gy, frozenset(params), rows=True)
+        for r in rows:
+            y_one, saved_one = layer.forward(params, x[r : r + 1])
+            gx_one, terms_one = layer.backward(params, saved_one, gy[r : r + 1], frozenset(params), rows=True)
+            assert y[r].tobytes() == y_one[0].tobytes(), r
+            assert gx[r].tobytes() == gx_one[0].tobytes(), r
+            for name, t in terms.items():
+                for a, a_one in zip(t.arrays, terms_one[name].arrays, strict=True):
+                    assert a[r].tobytes() == a_one[0].tobytes(), (name, r)
 
 
 def _direct_pool(x):

@@ -39,6 +39,13 @@ class TestModelConstruction:
         with pytest.raises(ModelError, match="class names"):
             Model(layers, params, {}, (1, 2, 2), ("a", "b", "c"))
 
+    def test_a_trainable_standardize_parameter_is_rejected(self):
+        # Standardize's backward has no parameter gradients to train with.
+        m = tiny_cnn(seed=0, input_shape=(1, 16, 16))
+        flags = dict(m.trainable, **{"stdz.std": True})
+        with pytest.raises(ModelError, match="'stdz.std' cannot be trainable"):
+            Model(m.layers, m.params, flags, m.input_shape, m.class_names)
+
     def test_models_are_immutable(self):
         m = random_cnn(seed=0)
         with pytest.raises(AttributeError):
@@ -222,6 +229,20 @@ class TestManifestFields:
         with pytest.raises(WeightFormatError) as err:
             load_model(saved)
         assert str(saved) in str(err.value) and named in str(err.value)
+
+    def test_trainable_standardize_parameter_named(self, saved):
+        def train_stdz_std(text):
+            assert "param.1=stdz.std " in text
+            return "\n".join(
+                line.replace("trainable=0", "trainable=1") if line.startswith("param.1=") else line
+                for line in text.split("\n")
+            )
+
+        _rewrite_manifest(saved, train_stdz_std)
+        with pytest.raises(WeightFormatError) as err:
+            load_model(saved)
+        msg = str(err.value)
+        assert str(saved) in msg and "param.1: parameter 'stdz.std' cannot be trainable" in msg
 
     def test_non_utf8_manifest_named(self, saved):
         raw = saved.read_bytes()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall time of the pipeline stages that no perfbench workload times.
 
-    python3 tools/stage_times.py TREE [REPEATS]   (about a minute on a 2-vCPU host)
+    python3 tools/stage_times.py TREE [REPEATS] [--json PATH]   (about a minute on a 2-vCPU host)
 
 It first prints the host, so that before/after numbers name it: ``nproc``,
 the cores the process may run on (its affinity mask, which sets how many
@@ -44,15 +44,19 @@ layers take turns. Each backward takes a standard normal output gradient.
 The ``input grad`` column times the input gradient alone
 (``grad_names=frozenset()``); the ``param grads`` column times every
 parameter gradient the layer has, without the input gradient
-(``input_grad=False``), and reads ``-`` for a layer without parameters.
+(``input_grad=False``), and reads ``-`` for a layer without trainable
+parameters.
 
 BLAS is pinned to one thread, as in perfbench, unless numpy was loaded
 before ``main`` ran. Run it once on the parent commit's tree and once on a
-change's to compare the two.
+change's to compare the two. With ``--json PATH`` it also writes what it
+prints to PATH, as one JSON object: ``host``, ``stages``, ``epochs``,
+``maps_ms_per_image`` and ``layers_ms``, times in the units printed.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import resource
@@ -97,22 +101,22 @@ def _elapsed(fn, *args, **kwargs):
 
 
 def _host_facts(blas_pinned):
-    """One line: nproc, the cores this process may use, the BLAS build, and its pinning."""
+    """nproc, the cores this process may use, the BLAS build, and its pinning."""
     import numpy as np
 
-    cores = len(os.sched_getaffinity(0))
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return (
-        f"host: nproc {os.cpu_count()}, {cores} cores in the affinity mask, "
-        f"BLAS {blas.get('name')} {blas.get('version')}, "
-        f"{'pinned to 1 thread' if blas_pinned else 'not pinned'}"
-    )
+    return {
+        "nproc": os.cpu_count(),
+        "affinity_cores": len(os.sched_getaffinity(0)),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_pinned": blas_pinned,
+    }
 
 
 def _layer_times(tiny_cnn, repeats):
     """Median forward, input-gradient and parameter-gradient seconds per
     tiny_cnn layer at batch 32; the last is None for a layer without
-    parameters.
+    trainable parameters.
 
     The layers take turns, each running its passes once per round, so that
     a slow spell of a shared host spreads over all of them.
@@ -126,7 +130,8 @@ def _layer_times(tiny_cnn, repeats):
     for layer in model.layers:
         out, saved = layer.forward(model.params, cur)
         gy = rng.standard_normal(out.shape)
-        cases.append((layer, cur, saved, gy, frozenset(layer.param_names())))
+        names = frozenset(name for name in layer.param_names() if model.trainable[name])
+        cases.append((layer, cur, saved, gy, names))
         cur = out
     times = {layer.name: ([], [], []) for layer, *_ in cases}
     for _ in range(repeats):
@@ -189,17 +194,27 @@ def _map_times(repeats):
     return {name: statistics.median(ms) for name, ms in times.items()}
 
 
+def _timings(median, fastest, faults):
+    return {"median_s": median, "fastest_s": fastest, "minor_faults": faults}
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (1, 2):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    repeats = int(argv[1]) if len(argv) == 2 else 20
+    parser = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].strip())
+    parser.add_argument("tree")
+    parser.add_argument("repeats", nargs="?", type=int, default=20)
+    parser.add_argument("--json", metavar="PATH")
+    args = parser.parse_args(argv)
+    repeats = args.repeats
     blas_pinned = "numpy" not in sys.modules or os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
-    print(_host_facts(blas_pinned))
-    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    host = _host_facts(blas_pinned)
+    print(
+        f"host: nproc {host['nproc']}, {host['affinity_cores']} cores in the affinity mask, "
+        f"BLAS {host['blas']}, {'pinned to 1 thread' if blas_pinned else 'not pinned'}"
+    )
+    report = {"host": host, "repeats": repeats}
+    sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
     from fracmap.attack import AttackConfig, adv_accuracy
     from fracmap.cli import main as cli
     from fracmap.coverage import coverage_table
@@ -225,29 +240,42 @@ def main(argv=None) -> int:
         "coverage_table": lambda: coverage_table(models, METHODS, PERCENTILES, ds, ds.annotations),
         "adv_accuracy": lambda: [adv_accuracy(m, ds, "test", atk) for m in models.values()],
     }
-    print(f"tree {Path(argv[0]).resolve()}, {len(ds.split_indices('test'))} test images")
+    print(f"tree {Path(args.tree).resolve()}, {len(ds.split_indices('test'))} test images")
+    report["stages"] = {"test_images": len(ds.split_indices("test"))}
     for name, fn in stages.items():
         median, fastest, faults = _timed(fn, repeats)
+        report["stages"][name] = _timings(median, fastest, faults)
         print(
             f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
             f"{faults:g} minor faults per run (median) over {repeats} runs"
         )
     n_train, epochs = _epochs()
     print(f"training epochs at batch {LAYER_BATCH} on {n_train} train images of 64x64")
+    report["epochs"] = {"batch": LAYER_BATCH, "train_images": n_train}
     for name, fn in epochs.items():
         median, fastest, faults = _timed(fn, repeats)
+        report["epochs"][name] = dict(_timings(median, fastest, faults), images_per_s=n_train / median)
         print(
             f"{name}: median {median:.3f} s ({n_train / median:.0f} images/s), fastest "
             f"{fastest:.3f} s, {faults:g} minor faults per run (median) over {repeats} runs"
         )
     print(f"attribution maps on {MAP_IMAGES} annotated 64x64 images: median ms per image")
-    for method, ms in _map_times(repeats).items():
+    report["maps_ms_per_image"] = _map_times(repeats)
+    for method, ms in report["maps_ms_per_image"].items():
         print(f"{method:<20} {ms:7.2f}")
     print(f"tiny_cnn layers at batch {LAYER_BATCH}, {LAYER_INPUT}: median ms over {repeats} rounds")
     print("layer  forward  input grad  param grads")
+    report["layers_ms"] = {}
     for name, fwd, gx, gp in _layer_times(tiny_cnn, repeats):
+        report["layers_ms"][name] = {
+            "forward": 1e3 * fwd,
+            "input_grad": 1e3 * gx,
+            "param_grads": None if gp is None else 1e3 * gp,
+        }
         params = "-" if gp is None else f"{1e3 * gp:.2f}"
         print(f"{name:<6} {1e3 * fwd:7.2f}  {1e3 * gx:10.2f}  {params:>11}")
+    if args.json:
+        Path(args.json).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
