@@ -1,34 +1,19 @@
 """Reverse-mode differentiation for sequential CNN models.
 
-``forward`` evaluates a model on one image and records a tape of per-layer
-saved values. ``backward`` consumes that tape once, seeding the reverse pass
-with a cotangent over the logits, and returns the gradient with respect to
-the input pixels (and, on request, with respect to named parameters). The
-reverse pass frees each layer's saved values as soon as it has used them,
-so a consumed tape keeps no saved values.
+``forward_batch`` evaluates a batch of images and records a tape of
+per-layer saved values; ``backward_batch`` consumes the tape in one reverse
+pass, seeded with a cotangent over the logits, and returns the input
+gradient and, on request, named parameter gradients. ``forward`` and
+``backward`` wrap a batch of one. Every layer returns its parameter
+gradients as per-row terms (``layers.RowTerms``), and ``backward_batch`` is
+the one place that totals them, unless the tape asks for the terms
+themselves (``Tape.row_terms``).
 
-Layers compute over a leading batch axis; the batched entry points
-(``forward_batch`` / ``backward_batch``) expose that directly for training
-and attack loops, while the single-image API wraps a batch of one.
-
-``forward_values(model, boxes, base=(x, rows, cols))`` evaluates the images
-that are ``x`` with box j written at ``(rows[j], cols[j])``, as occlusion
-variants are: through the model's local prefix each carries only what its
-box reaches, and the result has the bytes of a plain pass over those full
-images. ``x``'s own prefix runs once per call, and the boxes run in passes
-of at most ``OCCLUSION_BATCH``, which bounds memory. README, "Speed and
-exactness", gives the windowing rule.
-
-``map_row_parts(fn, *arrays)`` splits a batch into contiguous row parts of
-``GEMM_TILE`` to ``2 * GEMM_TILE - 1`` rows and runs ``fn`` on each part on
-a shared thread pool, one worker per core the process may use. Every layer
-gives an image the bytes of its batch-of-one pass, whatever shares its
-batch, so a pass split this way returns the bytes of one pass over the
-whole batch. A sum over the batch keeps its bytes only if it runs once,
-over the parts' rows joined in order: PGD takes none, integrated gradients
-sums the joined input gradients, and the training step has each part's
-reverse pass return its parameter gradients as per-row terms
-(``Tape.row_terms``), which ``layers.sum_row_terms`` joins and sums.
+``forward_values`` evaluates images without a tape, and with ``base=`` the
+images that differ from one image only inside a box each, as occlusion's
+variants do. ``map_row_parts`` runs a batch's row parts on a shared thread
+pool. README, "Speed and exactness", says why both keep the bytes of a
+plain pass.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -45,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .layers import GEMM_TILE
-from .model import ModelError
+from .model import ModelError, _untrainable
 from .tensor import Tensor
 
 __all__ = [
@@ -142,8 +127,8 @@ def forward_values(model, x_array: np.ndarray, *, base=None) -> np.ndarray:
 
     With ``base=(x, rows, cols)``, ``x_array`` is an (n, C, bh, bw) batch of
     boxes and image j is ``x`` with box j written at ``(rows[j], cols[j])``;
-    only what a box reaches is recomputed (see the module docstring), and
-    the result has the bytes of a plain pass over those images.
+    only what a box reaches is recomputed, and the result has the bytes of a
+    plain pass over those images.
     """
     x_array = np.asarray(x_array, dtype=np.float64)
     if base is not None:
@@ -251,12 +236,8 @@ def _cores() -> int:
 def row_parts(n: int) -> list:
     """Contiguous slices that cover rows 0..n-1 in order: n // GEMM_TILE of
     them, each of GEMM_TILE to 2 * GEMM_TILE - 1 rows, or one part when n is
-    under 2 * GEMM_TILE.
-
-    Parts this small bound what the parts running at once (one per pool
-    worker) keep live, whatever the batch size: a pass's saved activations
-    grow with its rows. They also cost no more per row than larger ones.
-    """
+    under 2 * GEMM_TILE. Small parts bound what the parts running at once
+    keep live (README, "Speed and exactness")."""
     k = max(1, n // GEMM_TILE)
     bounds = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -307,10 +288,12 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     """Reverse pass over a batched tape.
 
     ``seed`` is the cotangent over the batched logits, shape (N, K). Returns
-    ``(grad_input (N, C, H, W), param_grads)`` where parameter gradients are
-    summed over the batch, or, on a tape with ``row_terms`` set, left as
-    per-row ``RowTerms`` for ``layers.sum_row_terms``. Each tape supports
-    exactly one reverse pass.
+    ``(grad_input (N, C, H, W), param_grads)``. Each layer returns its
+    parameter gradients as ``RowTerms``, and this pass totals them as the
+    layer returns, into gradients summed over the batch; on a tape with
+    ``row_terms`` set it leaves them for ``layers.sum_row_terms``. A name in
+    ``grad_names`` that no layer has a gradient for raises ``ModelError``.
+    Each tape supports exactly one reverse pass.
 
     With ``input_grad=False`` the pass stops at the lowest layer that owns a
     requested parameter, which computes only its parameter gradients, and
@@ -328,6 +311,9 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
         raise ValueError(f"seed shape {seed.shape} does not match logits {tape.logits.shape}")
     grad_names = frozenset(grad_names)
     model = tape.model
+    has_grad = set(model.params) - _untrainable(model.layers)
+    if missing := sorted(grad_names - has_grad):
+        raise ModelError(f"no layer has a gradient for {', '.join(map(repr, missing))}")
     records = tape.records
     if not input_grad:
         owners = [i for i, (layer, _) in enumerate(records) if grad_names & set(layer.param_names())]
@@ -338,14 +324,14 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     param_grads = {}
     while records:
         layer, saved = records.pop()
-        options = {}
-        if not (records or input_grad):
-            options["input_grad"] = False
-        if tape.row_terms and grad_names & set(layer.param_names()):
-            options["rows"] = True
-        gy, grads = layer.backward(model.params, saved, gy, grad_names, **options)
+        if records or input_grad:
+            gy, terms = layer.backward(model.params, saved, gy, grad_names)
+        else:
+            gy, terms = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
         del saved  # the last reference: the layer's saved arrays are freed here
-        param_grads.update(grads)
+        if not tape.row_terms:
+            terms = {name: t.total(*t.arrays) for name, t in terms.items()}
+        param_grads.update(terms)
     return gy, param_grads
 
 

@@ -1,15 +1,8 @@
 """Layer descriptors for small CNNs and their forward/backward/multiplier rules.
 
-Each layer is a frozen dataclass describing one stage of a sequential network.
-``name`` is declared once, on ``_Layer``; other fields follow it:
-
-* ``Standardize``  - per-channel affine preamble (x - mean) / std
-* ``Conv2d``       - stride-1 2-D correlation, "valid" or "same" zero padding
-* ``ReLU``         - elementwise max(x, 0); subgradient at 0 is defined as 0
-* ``MaxPool2``     - 2x2 max pooling with stride 2, row-major tie-breaking
-* ``GlobalAvgPool``- spatial mean per channel
-* ``Flatten``      - row-major reshape to a vector
-* ``Dense``        - fully connected affine map on a vector
+Each layer is a frozen dataclass describing one stage of a sequential
+network; ``name`` is declared once, on ``_Layer``, and ``LAYER_KINDS`` maps
+each kind word to its class.
 
 All compute methods take arrays with a leading batch axis (images are
 ``(N, C, H, W)``, vectors ``(N, F)``); single-image callers wrap a batch of
@@ -17,21 +10,19 @@ one. Every layer implements three passes over plain float64 ndarrays:
 
 * ``forward(params, x) -> (y, saved)`` where ``saved`` holds whatever the
   reverse passes need,
-* ``backward(params, saved, gy, grad_names) -> (gx, param_grads)`` for
-  reverse-mode gradients; parameter gradients are summed over the batch and
-  only materialized for names in ``grad_names``. Layers with parameters also
-  take ``input_grad=False``, which skips ``gx`` (returned as None) for a
-  caller that reads only the parameter gradients, and ``rows=True``, which
-  leaves each parameter gradient as its per-row ``RowTerms`` (below),
+* ``backward(params, saved, gy, grad_names) -> (gx, terms)`` for
+  reverse-mode gradients. ``terms`` maps each name in ``grad_names`` that
+  the layer has a gradient for to its ``RowTerms``: the gradient before its
+  batch sum, one leading entry per image, which ``total(*arrays)`` sums.
+  ``Conv2d`` and ``Dense`` also take ``input_grad=False``, which skips
+  ``gx`` (returned as None) for a caller that reads only the parameter
+  gradients,
 * ``multipliers(params, saved_x, saved_ref, m_out) -> m_in`` for
-  reference-based contribution backpropagation. For an affine layer the
-  delta passes through the transpose and any bias cancels between the two
-  forward passes, so its multipliers are its input gradient: those layers
-  share one rule that calls ``backward``. ReLU rescales by delta-out/delta-in
-  (falling back to the gradient when |delta-in| < 1e-7), and max pooling
-  routes through the window's first maximum with an exact-conservation
-  ratio. Each rule preserves sum(m_in * delta_in) == sum(m_out * delta_out),
-  so the final contributions sum to the output change from the reference.
+  reference-based contribution backpropagation: an affine layer's are its
+  input gradient (``_Affine``), ReLU rescales by delta-out/delta-in, and
+  max pooling routes through the window's first maximum. Each rule
+  preserves sum(m_in * delta_in) == sum(m_out * delta_out), so the final
+  contributions sum to the output change from the reference.
 
 Each class declares its parameters once, in ``param_specs()``: one
 ``(name, shape, trainable)`` per parameter, in MWF1 blob order, where
@@ -39,44 +30,11 @@ Each class declares its parameters once, in ``param_specs()``: one
 still freeze such a parameter, but never trains one without);
 ``param_names()`` reads it. Each class also names the ``key=value`` fields
 of its MWF1 ``layer.N`` line: ``file_fields`` lists ``(key, attribute,
-cast)`` in on-disk order, after the leading kind word and ``name=``.
-``Conv2d`` writes ``in/out/kh/kw/padding``, ``Standardize`` ``channels``,
-``Dense`` ``in/out``, and a layer without parameters writes none. The model
-module saves and loads every kind through these fields and ``LAYER_KINDS``.
+cast)`` in on-disk order, after the leading kind word and ``name=``; the
+model module saves and loads every kind through them.
 
-The hot kernels keep the bytes of a plain per-image evaluation, whatever
-else shares the batch (README, "Speed and exactness"):
-
-* ``Conv2d`` runs, per kernel offset, one channel-first GEMM
-  ``(O x C) @ (C x columns)`` over a block of images sized by
-  ``CONV_BLOCK_VALUES``. The columns are contiguous slices of one zeroed
-  buffer of row-pitched, zero-padded planes (``_pitched``, saved as
-  ``xp``), each plane starting on a GEMM_TILE column, so BLAS sums every
-  column with its full-tile kernel. Where the correlation has one input
-  channel or one output row, the kernel offsets are a GEMM axis instead
-  (``_correlate``): the offsets' column runs stacked, times the weights,
-  or the rows of one (taps x C) product added, shifted, in offset order.
-  The input gradient runs the same correlation over ``gy`` with the
-  flipped, transposed kernel; the weight gradient is a per-image GEMM per
-  kernel offset, or, with one input channel, one over all offsets'
-  windows, then a batch sum, and the bias gradient sums each image's
-  plane, then the batch.
-* ``MaxPool2`` takes the max of the four strided views ``x[..., i::2, j::2]``.
-  Gradient and multipliers route to the first view equal to ``y``
-  (``_first_max``); the gradient by bit select, without temporaries.
-* ``Dense`` runs ``x @ w.T`` and ``gy @ w`` as one GEMM per block of
-  GEMM_TILE rows, the last block zero-padded, so every row comes from a full
-  tile of a GEMM of one size. A plain ``x @ w.T`` gives a row other last
-  bits in a batch of one, in a batch's last partial tile, and once the
-  product passes OpenBLAS's size switch. The weight gradient is a batch sum
-  and stays one GEMM, ``gy.T @ x``.
-
-A parameter gradient's ``RowTerms`` are its arrays before the batch sum,
-one leading entry per image: a conv weight's per-image GEMM stacks, a conv
-bias's plane sums, a dense layer's ``gy`` and ``x``. ``sum_row_terms``
-joins the terms of row parts of a batch in row order and totals them with
-the call the summed gradient makes; it gets the very arrays one pass over
-the whole batch sums, so it returns that pass's bytes.
+The kernels give an image the bytes of its batch-of-one pass, whatever
+else shares the batch; README, "Speed and exactness", says how.
 """
 
 from __future__ import annotations
@@ -140,11 +98,6 @@ def sum_row_terms(parts):
     }
 
 
-def _totals(terms, rows):
-    """``terms`` as they are for ``rows``, else each totalled."""
-    return terms if rows else {name: t.total(*t.arrays) for name, t in terms.items()}
-
-
 _batch_sum = partial(np.sum, axis=0)
 
 
@@ -204,9 +157,7 @@ class Standardize(_Affine):
         std = params[f"{self.name}.std"][None, :, None, None]
         return (x - mean) / std, {}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
-        if not input_grad:
-            return None, {}
+    def backward(self, params, saved, gy, grad_names):
         std = params[f"{self.name}.std"][None, :, None, None]
         return gy / std, {}
 
@@ -344,7 +295,7 @@ class Conv2d(_Affine):
         y, xp = self._correlate(x, taps, self._pads(), params[f"{self.name}.bias"])
         return y, {"xp": xp}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
+    def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
         xp = saved["xp"]
         (n, o, oh, ow), c = gy.shape, self.in_channels
@@ -371,9 +322,8 @@ class Conv2d(_Affine):
                 for xs in windows
             )
             terms[f"{self.name}.weight"] = RowTerms(partial(_offset_sums, w.shape), stacks)
-        grads = _totals(terms, rows)
         if not input_grad:
-            return None, grads
+            return None, terms
         # Forward's correlation over gy padded by k - 1 - p, with the kernel
         # flipped and transposed; the taps keep forward's offset order.
         (kh, kw), (ph, pw) = (self.kernel_h, self.kernel_w), self._pads()
@@ -381,7 +331,7 @@ class Conv2d(_Affine):
             ((kh - 1 - dh, kw - 1 - dw), np.ascontiguousarray(w[:, :, dh, dw]).T)
             for dh, dw in self._offsets()
         ]
-        return self._correlate(gy, taps, (kh - 1 - ph, kw - 1 - pw))[0], grads
+        return self._correlate(gy, taps, (kh - 1 - ph, kw - 1 - pw))[0], terms
 
 
 class ReLU(_Layer):
@@ -550,14 +500,14 @@ class Dense(_Affine):
         b = params[f"{self.name}.bias"]
         return self._by_row_blocks(x, w.T) + b[None, :], {"x": x}
 
-    def backward(self, params, saved, gy, grad_names, input_grad=True, rows=False):
+    def backward(self, params, saved, gy, grad_names, input_grad=True):
         w = params[f"{self.name}.weight"]
         terms = {}
         if f"{self.name}.weight" in grad_names:
             terms[f"{self.name}.weight"] = RowTerms(lambda gy, x: gy.T @ x, (gy, saved["x"]))
         if f"{self.name}.bias" in grad_names:
             terms[f"{self.name}.bias"] = RowTerms(_batch_sum, (gy,))
-        return (self._by_row_blocks(gy, w) if input_grad else None), _totals(terms, rows)
+        return (self._by_row_blocks(gy, w) if input_grad else None), terms
 
 
 LAYER_KINDS = {

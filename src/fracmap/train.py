@@ -7,12 +7,10 @@ The adversarial variant replaces every minibatch with its PGD perturbation,
 crafted against the current parameters, before the gradient step; with a
 zero-radius attack it reduces exactly to standard training.
 
-Each step runs its forward and reverse pass on row parts of the batch, in
-parallel (``autodiff.map_row_parts``). A part's reverse pass returns its
-rows' per-row parameter-gradient terms, not their sums, and the calling
-thread sums the parts' terms once, joined in row order
-(``layers.sum_row_terms``). So a step gives the bytes of one pass over the
-whole batch, however many parts it splits into.
+Each step runs on row parts of the batch in parallel
+(``autodiff.map_row_parts``). The parts keep their per-row parameter-gradient
+terms, which ``layers.sum_row_terms`` totals once, so a step has the bytes of
+one pass over the whole batch.
 
 Models are immutable, so training works on a private copy of the trainable
 parameters and returns a new model; frozen parameters are carried over

@@ -143,6 +143,26 @@ class TestParamOnlyPass:
         assert [name for name, _ in calls] == [l.name for l in reversed(model.layers)][: len(calls)]
 
 
+class TestGradNames:
+    """A requested gradient that no layer has is an error, not an empty result."""
+
+    @pytest.mark.parametrize(
+        "names, missing",
+        [
+            ({"conv0.weigth"}, ["conv0.weigth"]),
+            ({"stdz.mean", "conv0.bias"}, ["stdz.mean"]),
+            ({"stdz.std", "head.weight", "nope"}, ["nope", "stdz.std"]),
+        ],
+    )
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_names_without_a_gradient_rejected(self, names, missing, input_grad):
+        model = tiny_cnn(3, input_shape=(1, 32, 32))
+        logits, tape = forward_batch(model, np.zeros((2,) + model.input_shape))
+        with pytest.raises(ModelError) as err:
+            backward_batch(tape, np.ones_like(logits), names, input_grad=input_grad)
+        assert str(err.value) == "no layer has a gradient for " + ", ".join(map(repr, missing))
+
+
 # Measured with a batch-32 tiny_cnn pass (forward leaves 33.8 MiB live):
 # the reverse pass peaks 1.9 MiB above that when it frees each layer's saved
 # values as it goes, and 17.1 MiB above when the tape keeps them all.

@@ -3,7 +3,10 @@
 Each kernel is checked against a direct loop: one dot product per output
 pixel for the convolution, one scan per window for max pooling. The loops
 share nothing with the layer code beyond the input arrays. Max pooling's
-DeepLIFT rule is checked against the same rule over stacked windows.
+DeepLIFT rule is checked against the same rule over stacked windows. Every
+layer of two models is checked against the one ``backward`` contract: its
+parameter gradients come back as ``RowTerms`` that total to the summed
+gradient of ``backward_batch``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.attribution import deeplift_contributions
-from fracmap.autodiff import forward_values
-from fracmap.layers import Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2, ReLU, Standardize
+from fracmap.autodiff import backward_batch, forward_batch, forward_values
+from fracmap.layers import Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2, ReLU, RowTerms, Standardize
+from fracmap.model import tiny_cnn
 from fracmap.tensor import Tensor
 
 from conftest import random_cnn
@@ -180,7 +184,8 @@ def _assert_frozen_bytes(c, o, hw, k, padding, n, forward, backward):
     y, saved = layer.forward(params, x)
     y0, xp0 = forward(x, w, b, ph, pw)
     gy = rng.standard_normal(y0.shape)
-    gx, grads = layer.backward(params, saved, gy, frozenset(params))
+    gx, terms = layer.backward(params, saved, gy, frozenset(params))
+    grads = {name: t.total(*t.arrays) for name, t in terms.items()}
     gx0, gw0, gb0 = backward(xp0, w, gy, ph, pw)
     case = (c, o, hw, k, padding, n)
     assert y.tobytes() == y0.tobytes(), case
@@ -335,15 +340,57 @@ class TestConv2dOneSideBatchInvariance:
         x = rng.standard_normal(shape)
         y, saved = layer.forward(params, x)
         gy = rng.standard_normal(y.shape)
-        gx, terms = layer.backward(params, saved, gy, frozenset(params), rows=True)
+        gx, terms = layer.backward(params, saved, gy, frozenset(params))
         for r in rows:
             y_one, saved_one = layer.forward(params, x[r : r + 1])
-            gx_one, terms_one = layer.backward(params, saved_one, gy[r : r + 1], frozenset(params), rows=True)
+            gx_one, terms_one = layer.backward(params, saved_one, gy[r : r + 1], frozenset(params))
             assert y[r].tobytes() == y_one[0].tobytes(), r
             assert gx[r].tobytes() == gx_one[0].tobytes(), r
             for name, t in terms.items():
                 for a, a_one in zip(t.arrays, terms_one[name].arrays, strict=True):
                     assert a[r].tobytes() == a_one[0].tobytes(), (name, r)
+
+
+CONTRACT_MODELS = {
+    "tiny_cnn": tiny_cnn(3, input_shape=(1, 32, 32)),
+    # A global-average head, and a conv with one output channel, whose bias
+    # keeps gy itself as its term.
+    "gap_cnn": random_cnn(seed=6, input_shape=(2, 12, 12), channels=(3, 1), head="gap"),
+}
+
+
+class TestBackwardContract:
+    # Every layer's backward returns its parameter gradients as RowTerms,
+    # one per requested name it has a gradient for; backward_batch totals them.
+    @pytest.mark.parametrize(
+        "model_id, index",
+        [(model_id, i) for model_id, m in CONTRACT_MODELS.items() for i in range(len(m.layers))],
+    )
+    def test_layer_returns_row_terms_that_total_to_the_summed_gradient(self, model_id, index):
+        model = CONTRACT_MODELS[model_id]
+        rng = np.random.default_rng(index)
+        xb = rng.uniform(0.0, 1.0, (5,) + model.input_shape)
+        seed = rng.standard_normal((5, model.num_classes))
+        names = frozenset(
+            name for layer in model.layers for name, _, has_grad in layer.param_specs() if has_grad
+        )
+        _, summed = backward_batch(forward_batch(model, xb)[1], seed, names)
+        _, tape = forward_batch(model, xb)
+        gx = seed
+        for layer, saved in reversed(tape.records[index:]):
+            gx, terms = layer.backward(model.params, saved, gx, names)
+        assert layer is model.layers[index]
+        x = xb
+        for below in model.layers[:index]:
+            x = below.forward(model.params, x)[0]
+        assert isinstance(gx, np.ndarray) and gx.shape == x.shape
+        owned = [name for name, _, has_grad in layer.param_specs() if has_grad]
+        assert sorted(terms) == sorted(owned)
+        for name in owned:
+            t = terms[name]
+            assert isinstance(t, RowTerms)
+            assert all(len(a) == len(xb) for a in t.arrays), name
+            assert t.total(*t.arrays).tobytes() == summed[name].tobytes(), name
 
 
 def _direct_pool(x):

@@ -11,10 +11,11 @@
 * each perfbench workload of TREE: one ``setup``, one ``op`` and its
   ``check``, at seed 1, in this process.
 
-Calls are recorded with ``sys.settrace`` (standard library only; Python
-3.11 or later, for ``co_qualname``). The output names every function,
-method and lambda defined in ``TREE/src/fracmap`` that never ran, one per
-line with its line count, and then the totals. A function nested inside
+Calls are recorded with ``sys.settrace``, and on threads started while
+tracing, such as the row-part pool's, with ``threading.settrace`` (standard
+library only; Python 3.11 or later, for ``co_qualname``). The output names
+every function, method and lambda defined in ``TREE/src/fracmap`` that never
+ran, one per line with its line count, and then the totals. A function nested inside
 one that never ran is not listed separately. Exits 1 when a driver fails
 or a workload check reports a problem, since the list would then be
 incomplete.
@@ -31,6 +32,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -47,6 +49,7 @@ def _record_calls(package_dir: str, hits_file: Path):
 
     def dump():
         sys.settrace(None)
+        threading.settrace(None)
         rows = [
             [os.path.realpath(c.co_filename), c.co_firstlineno, c.co_qualname]
             for c in seen
@@ -56,6 +59,7 @@ def _record_calls(package_dir: str, hits_file: Path):
             fh.write(json.dumps(rows) + "\n")
 
     sys.settrace(tracer)
+    threading.settrace(tracer)
     return dump
 
 

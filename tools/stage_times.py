@@ -8,23 +8,24 @@ the cores the process may run on (its affinity mask, which sets how many
 row parts of a training step, a PGD or an integrated-gradients pass run at
 once), the BLAS build, and whether BLAS is pinned to one thread.
 
-Builds, with TREE's ``src/fracmap`` CLI in a temporary directory, the
-corpus and models of ``tools/cli_tree.sh``: 24 images of 32x32 from seed 5,
-and a standard and an adversarial ``tiny_cnn`` trained with the settings of
-its ``zero.json`` manifest. It then times two stages on them, REPEATS times
-each (default 20), and prints the median and the fastest run in seconds and
-the median count of minor page faults per run (the process's ``ru_minflt``
+It then times two stages on the test split of a 64x64 corpus of 160
+images from seed 5 (16 test images, 8 of them annotated), with two untrained
+``tiny_cnn`` models (seeds 5 and 6): each method's arithmetic does not
+depend on the weights' values. Each stage runs REPEATS times (default 20),
+and the script prints the median and the fastest run in seconds and the
+median count of minor page faults per run (the process's ``ru_minflt``
 delta), which shows allocation churn without a tracer:
 
 * ``coverage_table``: both models, all four methods (occlusion 8x8 at
   stride 4, IG-20 and DeepLIFT from a zero image), percentiles
-  0/15/75/85/95, over the annotated test images;
+  0/15/75/85/95, over the annotated test images. The script fails if a
+  cell reads ``N/A``, since such a cell times no map;
 * ``adv_accuracy``: PGD-10 (epsilon 0.0157, step 0.0039) on the test
   split, for both models.
 
 Next it times two training epochs of ``tiny_cnn(5)`` at batch 32 on the
-train split of a 64x64 corpus of 160 images from seed 5, REPEATS times
-each, with the same three figures and the images per second of the median:
+train split of the same corpus, REPEATS times each, with the same three
+figures and the images per second of the median:
 one standard epoch, and one adversarial epoch against PGD-5 (epsilon 4/255,
 step 2/255, the reference recipe of ``perfbench/``'s ``train_adv``).
 
@@ -44,8 +45,8 @@ layers take turns. Each backward takes a standard normal output gradient.
 The ``input grad`` column times the input gradient alone
 (``grad_names=frozenset()``); the ``param grads`` column times every
 parameter gradient the layer has, without the input gradient
-(``input_grad=False``), and reads ``-`` for a layer without trainable
-parameters.
+(``input_grad=False``), totalled over the batch as a summed reverse pass
+totals them, and reads ``-`` for a layer without trainable parameters.
 
 BLAS is pinned to one thread, as in perfbench, unless numpy was loaded
 before ``main`` ran. Run it once on the parent commit's tree and once on a
@@ -62,17 +63,10 @@ import os
 import resource
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-MANIFEST = {
-    "seed": 5,
-    "dataset": "data/dataset.txt",
-    "train": {"epochs": 12, "batch_size": 6},
-    "attack": {"epsilon": 0.0157, "step_size": 0.0039, "iters": 10},
-    "train_attack": {"epsilon": 0.0157, "step_size": 0.0078, "iters": 5},
-}
+STAGE_ATTACK = {"epsilon": 0.0157, "step_size": 0.0039, "iters": 10, "seed": 5}
 PERCENTILES = (0.0, 15.0, 75.0, 85.0, 95.0)
 METHODS = ("saliency", "occlusion", "deeplift", "integrated_gradients")
 LAYER_BATCH = 32
@@ -140,22 +134,48 @@ def _layer_times(tiny_cnn, repeats):
             fwd.append(_elapsed(layer.forward, model.params, x))
             gx.append(_elapsed(layer.backward, model.params, saved, gy, frozenset()))
             if names:
-                gp.append(_elapsed(layer.backward, model.params, saved, gy, names, input_grad=False))
+                gp.append(_elapsed(_param_grads, layer, model.params, saved, gy, names))
     return [
         (name, statistics.median(f), statistics.median(g), statistics.median(p) if p else None)
         for name, (f, g, p) in times.items()
     ]
 
 
-def _epochs():
+def _param_grads(layer, params, saved, gy, names):
+    """The layer's parameter gradients, its terms totalled over the batch."""
+    _, terms = layer.backward(params, saved, gy, names, input_grad=False)
+    return {name: t.total(*t.arrays) for name, t in terms.items()}
+
+
+def _stages(ds):
+    """``coverage_table`` and PGD-10 ``adv_accuracy`` on the test split of
+    ``ds`` for two untrained tiny_cnn models, each as a callable."""
+    from fracmap.attack import AttackConfig, adv_accuracy
+    from fracmap.coverage import coverage_table
+    from fracmap.model import tiny_cnn
+
+    models = {f"tiny_cnn({seed})": tiny_cnn(seed, input_shape=ds.image_shape) for seed in (5, 6)}
+    atk = AttackConfig(**STAGE_ATTACK)
+
+    def table():
+        return coverage_table(models, METHODS, PERCENTILES, ds, ds.annotations)
+
+    na = [f"{r.model_id} {r.method} {r.percentile:g}: {r.reason}" for r in table().rows if r.coverage is None]
+    if na:
+        raise SystemExit("coverage_table has N/A cells:\n" + "\n".join(na))
+    return {
+        "coverage_table": table,
+        "adv_accuracy": lambda: [adv_accuracy(m, ds, "test", atk) for m in models.values()],
+    }
+
+
+def _epochs(ds):
     """The train-split size, and one standard and one PGD-5 epoch of
-    tiny_cnn(5) at batch 32 on a 64x64 corpus, each as a callable."""
+    tiny_cnn(5) at batch 32 on ``ds``, each as a callable."""
     from fracmap.attack import AttackConfig
     from fracmap.model import tiny_cnn
-    from fracmap.synth import generate_dataset
     from fracmap.train import TrainConfig, adv_train, train
 
-    ds = generate_dataset(5, EPOCH_IMAGES)
     model = tiny_cnn(5, input_shape=ds.image_shape)
     cfg = TrainConfig(epochs=1, batch_size=LAYER_BATCH, seed=5)
     atk = AttackConfig(**EPOCH_ATTACK)
@@ -215,41 +235,22 @@ def main(argv=None) -> int:
     )
     report = {"host": host, "repeats": repeats}
     sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
-    from fracmap.attack import AttackConfig, adv_accuracy
-    from fracmap.cli import main as cli
-    from fracmap.coverage import coverage_table
-    from fracmap.model import load_model, tiny_cnn
-    from fracmap.synth import load_dataset
+    from fracmap.model import tiny_cnn
+    from fracmap.synth import generate_dataset
 
-    with tempfile.TemporaryDirectory(prefix="stage-times-") as tmp:
-        work = Path(tmp)
-        (work / "rm.json").write_text(json.dumps(MANIFEST), encoding="utf-8")
-        rm = ["--manifest", str(work / "rm.json")]
-        steps = [
-            ["synth", "--seed", "5", "--n", "24", "--size", "32", "--out", str(work / "data")],
-            ["train", *rm, "--mode", "standard", "--out", str(work / "std.mwf")],
-            ["train", *rm, "--mode", "adversarial", "--out", str(work / "adv.mwf")],
-        ]
-        if any(cli(step) != 0 for step in steps):
-            return 1
-        ds = load_dataset(work / "data" / "dataset.txt")
-        models = {name: load_model(work / f"{name}.mwf")[0] for name in ("std", "adv")}
-
-    atk = AttackConfig(**MANIFEST["attack"], seed=MANIFEST["seed"])
-    stages = {
-        "coverage_table": lambda: coverage_table(models, METHODS, PERCENTILES, ds, ds.annotations),
-        "adv_accuracy": lambda: [adv_accuracy(m, ds, "test", atk) for m in models.values()],
-    }
-    print(f"tree {Path(args.tree).resolve()}, {len(ds.split_indices('test'))} test images")
-    report["stages"] = {"test_images": len(ds.split_indices("test"))}
-    for name, fn in stages.items():
+    ds = generate_dataset(5, EPOCH_IMAGES)
+    test = ds.split_indices("test")
+    n_annotated = sum(ds.ids[i] in ds.annotations for i in test)
+    print(f"tree {Path(args.tree).resolve()}, {len(test)} test images, {n_annotated} annotated")
+    report["stages"] = {"test_images": len(test), "annotated_test_images": n_annotated}
+    for name, fn in _stages(ds).items():
         median, fastest, faults = _timed(fn, repeats)
         report["stages"][name] = _timings(median, fastest, faults)
         print(
             f"{name}: median {median:.3f} s, fastest {fastest:.3f} s, "
             f"{faults:g} minor faults per run (median) over {repeats} runs"
         )
-    n_train, epochs = _epochs()
+    n_train, epochs = _epochs(ds)
     print(f"training epochs at batch {LAYER_BATCH} on {n_train} train images of 64x64")
     report["epochs"] = {"batch": LAYER_BATCH, "train_images": n_train}
     for name, fn in epochs.items():
