@@ -63,12 +63,12 @@ def _keep_freed_pages() -> None:
     the next pass reuses it; RSS then stays at its high-water mark.
 
     One arena at most: glibc gives threads other than the main one heaps of
-    their own, so the pool threads that run row parts of a training step, a
-    PGD or an integrated-gradients pass (``autodiff.map_row_parts``) would
-    each keep a set of freed activations mapped beside the main heap's,
-    which passes on the main thread (a batch of one part, occlusion) cannot
-    reuse. With one arena they allocate from the main heap. Warns if glibc refuses a setting; does
-    nothing on any other C library.
+    their own, so the pool threads that run the row parts of
+    ``autodiff.gradients`` would each keep a set of freed activations mapped
+    beside the main heap's, which passes on the main thread (a batch of one
+    part, occlusion) cannot reuse. With one arena they allocate from the
+    main heap. Warns if glibc refuses a setting; does nothing on any other C
+    library.
     """
     try:
         libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward_batch, forward_batch, forward_values, map_row_parts
+from .autodiff import forward_values, gradients
 from .loss import cross_entropy_grad
 
 __all__ = [
@@ -84,11 +84,6 @@ def pgd_batch(model, xb: np.ndarray, labels, cfg: AttackConfig) -> np.ndarray:
     Guarantees ``|out - xb| <= epsilon`` elementwise and ``out`` in [0, 1].
     With ``iters == 0`` and no random start, or with ``epsilon == 0``, the
     input comes back bit-identical.
-
-    The random start is drawn for the whole batch; the iterations then run
-    on row parts of it in parallel (``map_row_parts``), which keeps the
-    bytes of one pass over the batch because every image's steps read only
-    its own rows.
     """
     xb = np.asarray(xb, dtype=np.float64)
     labels = np.asarray(labels)
@@ -104,21 +99,18 @@ def pgd_batch(model, xb: np.ndarray, labels, cfg: AttackConfig) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         adv = np.clip(xb + rng.uniform(-cfg.epsilon, cfg.epsilon, size=xb.shape), 0.0, 1.0)
 
-    def attack(x, adv, y):
-        for _ in range(cfg.iters):
-            logits, tape = forward_batch(model, adv)
-            grad, _ = backward_batch(tape, cross_entropy_grad(logits, y))
-            adv = adv + cfg.step_size * np.sign(grad)
-            adv = x + np.clip(adv - x, -cfg.epsilon, cfg.epsilon)
-            adv = np.clip(adv, 0.0, 1.0)
-        return adv
-
-    return np.concatenate(map_row_parts(attack, xb, adv, labels))
+    for _ in range(cfg.iters):
+        _, grad, _ = gradients(model, adv, cross_entropy_grad, labels)
+        adv = adv + cfg.step_size * np.sign(grad)
+        adv = xb + np.clip(adv - xb, -cfg.epsilon, cfg.epsilon)
+        adv = np.clip(adv, 0.0, 1.0)
+    return adv
 
 
 def _accuracy(model, ds, split: str, perturb=None) -> float:
     """Fraction of argmax-correct predictions on a split, in [0, 1], each
     batch first replaced by ``perturb(xb, yb)`` when given."""
+    model.check_classes(ds.class_names)
     correct = total = 0
     for xb, yb in ds.batches(split, EVAL_BATCH):
         if perturb is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import atomic_open
-from .autodiff import backward_batch, forward_batch, forward_values, grad_input, map_row_parts
+from .autodiff import forward_batch, forward_values, grad_input, gradients
 from .pgm import to_bytes_gray, write_pgm
 from .tensor import Tensor
 
@@ -253,10 +253,7 @@ def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
 
     Averages the class-c input gradient at the midpoints of ``n_steps``
     equal subintervals along the straight path from the baseline to x, then
-    scales by (x - baseline). Each pass of up to MAP_BATCH points runs in row
-    parts in parallel (``map_row_parts``); the parts' gradients are joined in
-    row order before the one sum over the pass, so the bytes are those of a
-    single pass.
+    scales by (x - baseline), in passes of up to MAP_BATCH points.
     """
     if cfg.baseline.shape != x.shape:
         raise ValueError(f"baseline shape {cfg.baseline.shape} does not match input {x.shape}")
@@ -264,17 +261,12 @@ def ig_attributions(model, x: Tensor, c: int, cfg: PathConfig) -> np.ndarray:
     diff = x.array - cfg.baseline.array
     alphas = (np.arange(cfg.n_steps) + 0.5) / cfg.n_steps
     grad_sum = np.zeros_like(diff)
-
-    def input_grad(pts):
-        logits, tape = forward_batch(model, pts)
-        seed = np.zeros_like(logits)
-        seed[:, c] = 1.0
-        return backward_batch(tape, seed)[0]
-
+    seeds = np.zeros((MAP_BATCH, model.num_classes))
+    seeds[:, c] = 1.0
     for start in range(0, cfg.n_steps, MAP_BATCH):
         chunk = alphas[start : start + MAP_BATCH]
         pts = cfg.baseline.array[None] + chunk[:, None, None, None] * diff[None]
-        gx = np.concatenate(map_row_parts(input_grad, pts))
+        _, gx, _ = gradients(model, pts, lambda _, seed: seed, seeds[: len(chunk)])
         grad_sum += gx.sum(axis=0)
     return diff * (grad_sum / cfg.n_steps)
 

@@ -3,17 +3,21 @@
 ``forward_batch`` evaluates a batch of images and records a tape of
 per-layer saved values; ``backward_batch`` consumes the tape in one reverse
 pass, seeded with a cotangent over the logits, and returns the input
-gradient and, on request, named parameter gradients. ``forward`` and
-``backward`` wrap a batch of one. Every layer returns its parameter
-gradients as per-row terms (``layers.RowTerms``), and ``backward_batch`` is
-the one place that totals them, unless the tape asks for the terms
-themselves (``Tape.row_terms``).
+gradient or, for named parameters, their per-row terms
+(``layers.RowTerms``). ``forward`` and ``backward`` wrap a batch of one.
+
+``gradients`` is the one batched entry point of training, PGD and
+integrated gradients, and the one owner of row parts: it runs both passes
+on each of the batch's ``row_parts`` on a shared thread pool
+(``map_row_parts``), joins the parts in row order and totals parameter
+terms once (``layers.sum_row_terms``). The parts depend only on the batch
+size, and every layer gives a row the bytes of its batch-of-one pass, so
+the result has the bytes of one pass over the whole batch.
 
 ``forward_values`` evaluates images without a tape, and with ``base=`` the
 images that differ from one image only inside a box each, as occlusion's
-variants do. ``map_row_parts`` runs a batch's row parts on a shared thread
-pool. README, "Speed and exactness", says why both keep the bytes of a
-plain pass.
+variants do. README, "Speed and exactness", says why it and the row parts
+keep the bytes of a plain pass.
 
 ``numeric_gradient`` is the independent central-difference oracle used to
 validate the reverse pass; it shares only the forward evaluator with it.
@@ -29,19 +33,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .layers import GEMM_TILE
+from .layers import GEMM_TILE, sum_row_terms
 from .model import ModelError, _untrainable
 from .tensor import Tensor
 
 __all__ = [
     "Tape",
     "TapeError",
-    "BackwardResult",
     "forward",
     "forward_values",
     "forward_batch",
     "backward",
     "backward_batch",
+    "gradients",
     "grad_input",
     "grad_input_weighted",
     "central_difference",
@@ -66,21 +70,14 @@ class TapeError(RuntimeError):
 class Tape:
     """Record of one forward evaluation: per-layer saved values plus the output.
 
-    A tape backs exactly one reverse pass; ``backward`` marks it consumed and
-    empties ``records`` as it goes.
+    A tape backs exactly one reverse pass; ``backward_batch`` marks it
+    consumed and empties ``records`` as it goes.
     """
 
     model: "object"
     records: list = field(default_factory=list)
     logits: np.ndarray | None = None  # batched (N, num_classes)
     consumed: bool = False
-    row_terms: bool = False  # backward_batch leaves parameter gradients as per-row RowTerms
-
-
-@dataclass
-class BackwardResult:
-    grad_input: Tensor
-    param_grads: dict
 
 
 def _run_forward(model, xb, record: bool, start: int = 0):
@@ -284,20 +281,15 @@ def map_row_parts(fn, *arrays) -> list:
     return [future.result() for future in futures]
 
 
-def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, input_grad=True):
+def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset()):
     """Reverse pass over a batched tape.
 
-    ``seed`` is the cotangent over the batched logits, shape (N, K). Returns
-    ``(grad_input (N, C, H, W), param_grads)``. Each layer returns its
-    parameter gradients as ``RowTerms``, and this pass totals them as the
-    layer returns, into gradients summed over the batch; on a tape with
-    ``row_terms`` set it leaves them for ``layers.sum_row_terms``. A name in
-    ``grad_names`` that no layer has a gradient for raises ``ModelError``.
+    ``seed`` is the cotangent over the batched logits, shape (N, K). Without
+    ``grad_names`` the pass returns ``(grad_input (N, C, H, W), {})``. With
+    them it returns ``(None, {name: RowTerms})`` and stops at the lowest
+    layer that owns a requested parameter, which computes only its parameter
+    terms. A name that no layer has a gradient for raises ``ModelError``.
     Each tape supports exactly one reverse pass.
-
-    With ``input_grad=False`` the pass stops at the lowest layer that owns a
-    requested parameter, which computes only its parameter gradients, and
-    ``grad_input`` is None.
 
     Each record leaves the tape as its layer's ``backward`` returns, so its
     saved arrays are freed while the pass goes on; records below an early
@@ -315,31 +307,46 @@ def backward_batch(tape: Tape, seed: np.ndarray, grad_names=frozenset(), *, inpu
     if missing := sorted(grad_names - has_grad):
         raise ModelError(f"no layer has a gradient for {', '.join(map(repr, missing))}")
     records = tape.records
-    if not input_grad:
-        owners = [i for i, (layer, _) in enumerate(records) if grad_names & set(layer.param_names())]
-        del records[: owners[0] if owners else len(records)]
-        if not owners:
-            return None, {}
+    if grad_names:
+        lowest = next(i for i, (layer, _) in enumerate(records) if grad_names & set(layer.param_names()))
+        del records[:lowest]
     gy = seed
     param_grads = {}
     while records:
         layer, saved = records.pop()
-        if records or input_grad:
+        if records or not grad_names:
             gy, terms = layer.backward(model.params, saved, gy, grad_names)
         else:
             gy, terms = layer.backward(model.params, saved, gy, grad_names, input_grad=False)
         del saved  # the last reference: the layer's saved arrays are freed here
-        if not tape.row_terms:
-            terms = {name: t.total(*t.arrays) for name, t in terms.items()}
         param_grads.update(terms)
     return gy, param_grads
 
 
-def backward(tape: Tape, seed, grad_names=frozenset()) -> BackwardResult:
+def gradients(model, xb, seed_of, *rows, grad_names=frozenset()):
+    """Forward and reverse passes over a batch, on its row parts.
+
+    A part's reverse pass is seeded with ``seed_of(part_logits, *part_rows)``,
+    ``part_rows`` its rows of the per-image arrays ``rows``; the seed must
+    treat each row on its own. Returns ``(logits, gx, grads)``: without
+    ``grad_names`` the input gradient and ``{}``; with them None and each
+    named parameter's gradient summed over the batch.
+    """
+
+    def part(x, *part_rows):
+        logits, tape = forward_batch(model, x)
+        return (logits, *backward_batch(tape, seed_of(logits, *part_rows), grad_names))
+
+    logits, gx, terms = zip(*map_row_parts(part, xb, *rows))
+    if grad_names:
+        return np.concatenate(logits), None, sum_row_terms(terms)
+    return np.concatenate(logits), np.concatenate(gx), {}
+
+
+def backward(tape: Tape, seed) -> Tensor:
     """Single-image reverse pass: seed over the logits -> input gradient."""
     seed = np.asarray(seed, dtype=np.float64)
-    gx, param_grads = backward_batch(tape, seed[None], grad_names)
-    return BackwardResult(grad_input=Tensor(gx[0]), param_grads=param_grads)
+    return Tensor(backward_batch(tape, seed[None])[0][0])
 
 
 def grad_input(model, x: Tensor, c: int) -> Tensor:
@@ -353,7 +360,7 @@ def grad_input(model, x: Tensor, c: int) -> Tensor:
 def grad_input_weighted(model, x: Tensor, weights) -> Tensor:
     """Gradient of ``weights . logits`` with respect to the input."""
     _, tape = forward(model, x)
-    return backward(tape, weights).grad_input
+    return backward(tape, weights)
 
 
 def central_difference(fun, x_flat: np.ndarray, h: float) -> np.ndarray:

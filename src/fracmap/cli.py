@@ -352,6 +352,7 @@ def cmd_attribute(args, status) -> str:
     rm, ds = status.load_inputs(args)
     methods = _parse_list(args.methods, "--methods", str, check_methods)
     model, _ = load_model(args.model)
+    model.check_classes(ds.class_names)
     missing = [i for i in _unique(args.images, "--images", "image id") if i not in ds.ids]
     if missing:
         raise ValueError(f"images not in the dataset: {', '.join(missing)}")

@@ -209,15 +209,15 @@ def coverage_table(
     is built by ``attribution.METHODS`` from ``occlusion_cfg``, ``path_cfg``
     (integrated gradients) and ``reference`` (DeepLIFT); these default to an
     8x8/stride-4 zero patch, 20 steps from a zero image, and a zero image.
-    Every map explains the ``fractured`` class (class 0 if the dataset has
-    none). Aggregation runs over the annotated images of ``split``
-    (unweighted mean of per-image ratios, reported in percent). The row set
-    is complete: a cell whose maps cannot be computed (an
-    ``attribution.MapError`` such as a patch larger than the image) becomes
-    ``N/A`` with the failure reason rather than being skipped. A map whose
-    values are all equal ranks no pixel above another, so it makes the cell
-    ``N/A:constant map for <image id>`` instead of a mask that keeps every
-    pixel. Every other error propagates.
+    Every model must name the dataset's classes, and every map explains the
+    ``fractured`` class (class 0 if the dataset has none). Aggregation runs
+    over the annotated images of ``split`` (unweighted mean of per-image
+    ratios, reported in percent). The row set is complete: a cell whose
+    maps cannot be computed (an ``attribution.MapError`` such as a patch
+    larger than the image) becomes ``N/A`` with the failure reason rather
+    than being skipped. A map whose values are all equal ranks no pixel
+    above another, so it makes the cell ``N/A:constant map for <image id>``
+    instead of a mask that keeps every pixel. Every other error propagates.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
@@ -234,6 +234,8 @@ def coverage_table(
     path_cfg = path_cfg or PathConfig(baseline=zero)
     ref = zero if reference is None else reference
 
+    for model in models.values():
+        model.check_classes(names)
     rows = []
     for model_id, model in models.items():
         for method in methods:

@@ -173,6 +173,11 @@ class Model:
         if not 0 <= c < self.num_classes:
             raise ValueError(f"class index {c} out of range for {self.num_classes} classes")
 
+    def check_classes(self, names) -> None:
+        """Reject data whose class names are not the model's, in order."""
+        if tuple(names) != self.class_names:
+            raise ModelError(f"model classes {self.class_names} do not match the data's {tuple(names)}")
+
     def with_params(self, params) -> "Model":
         return Model(self.layers, params, self.trainable, self.input_shape, self.class_names)
 

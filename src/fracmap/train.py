@@ -7,11 +7,6 @@ The adversarial variant replaces every minibatch with its PGD perturbation,
 crafted against the current parameters, before the gradient step; with a
 zero-radius attack it reduces exactly to standard training.
 
-Each step runs on row parts of the batch in parallel
-(``autodiff.map_row_parts``). The parts keep their per-row parameter-gradient
-terms, which ``layers.sum_row_terms`` totals once, so a step has the bytes of
-one pass over the whole batch.
-
 Models are immutable, so training works on a private copy of the trainable
 parameters and returns a new model; frozen parameters are carried over
 bit-identically.
@@ -21,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .attack import AttackConfig, _accuracy, pgd_batch
-from .autodiff import backward_batch, forward_batch, map_row_parts
-from .layers import sum_row_terms
+from .autodiff import gradients
 from .loss import cross_entropy, cross_entropy_grad
 
 __all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "adv_train", "evaluate"]
@@ -95,22 +88,13 @@ class _Adam:
             )
 
 
-def _row_part(model, grad_names, n, xb, yb):
-    """A step's work on rows ``xb`` of its batch of ``n``: their losses, and
-    their per-row terms of the gradient of the batch's mean loss."""
-    logits, tape = forward_batch(model, xb)
-    tape.row_terms = True
-    seed = cross_entropy_grad(logits, yb) / n
-    _, terms = backward_batch(tape, seed, grad_names, input_grad=False)
-    return cross_entropy(logits, yb), terms
-
-
 def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
     if not ds.split_indices("train"):
         raise ValueError("train split is empty")
     trainable = [n for n, flag in model.trainable.items() if flag]
     if not trainable:
         raise ValueError("no trainable parameters")
+    model.check_classes(ds.class_names)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     work = {n: model.params[n].copy() for n in trainable}
@@ -123,14 +107,17 @@ def _fit(model, ds, cfg: TrainConfig, perturb=None) -> TrainResult:
             current = model.with_params({**model.params, **work})
             if perturb is not None:
                 xb = perturb(current, xb, yb)
-            parts = map_row_parts(partial(_row_part, current, grad_names, len(yb)), xb, yb)
-            batch_loss = float(np.mean(np.concatenate([loss for loss, _ in parts])))
+            n = len(yb)
+            logits, _, grads = gradients(
+                current, xb, lambda lg, y: cross_entropy_grad(lg, y) / n, yb, grad_names=grad_names
+            )
+            batch_loss = float(np.mean(cross_entropy(logits, yb)))
             if not np.isfinite(batch_loss):
                 raise DivergenceError(
                     f"loss became non-finite at epoch {epoch + 1}, batch {batch}"
                 )
             losses.append(batch_loss)
-            opt.step(work, sum_row_terms([terms for _, terms in parts]))
+            opt.step(work, grads)
             for name in opt.names:
                 if not np.all(np.isfinite(work[name])):
                     raise DivergenceError(

@@ -134,7 +134,7 @@ class TestPgdRowParts:
             threads.append(threading.get_ident())
             return forward_batch(model, xb)
 
-        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        monkeypatch.setattr("fracmap.autodiff.forward_batch", recorded)
         assert pgd_batch(quick_model, xb, yb, cfg).tobytes() == expect.tobytes()
         assert len(threads) == len(row_parts(n)) * cfg.iters
         assert threading.get_ident() not in threads
@@ -147,7 +147,7 @@ class TestPgdRowParts:
             threads.append(threading.get_ident())
             return forward_batch(model, xb)
 
-        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        monkeypatch.setattr("fracmap.autodiff.forward_batch", recorded)
         pgd_batch(quick_model, xb, yb, AttackConfig(epsilon=EPS, iters=2))
         assert threads == [threading.get_ident()] * 2
 
@@ -203,7 +203,7 @@ class TestAdvAccuracy:
             calls.append(len(xb))
             return forward_batch(model, xb)
 
-        monkeypatch.setattr("fracmap.attack.forward_batch", recorded)
+        monkeypatch.setattr("fracmap.autodiff.forward_batch", recorded)
         assert evaluate(quick_model, quick_dataset, "test") == sum(clean) / len(clean)
         assert calls == []
         assert adv_accuracy(quick_model, quick_dataset, "test", cfg) == sum(adv) / len(adv)

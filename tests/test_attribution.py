@@ -451,7 +451,7 @@ class TestIntegratedGradients:
             threads.append((threading.get_ident(), len(xb)))
             return forward_batch(model, xb)
 
-        monkeypatch.setattr("fracmap.attribution.forward_batch", recorded)
+        monkeypatch.setattr("fracmap.autodiff.forward_batch", recorded)
         x = rand_image(21, quick_model.input_shape)
         ig_attributions(quick_model, x, 0, PathConfig(baseline=zeros_like_input(quick_model), n_steps=15))
         assert threads == [(threading.get_ident(), 15)]

@@ -105,7 +105,7 @@ class TestTape:
 
 
 class TestParamOnlyPass:
-    """``input_grad=False`` stops the reverse pass early, as training uses it."""
+    """A pass with gradient names stops at the lowest owner, as training uses it."""
 
     @pytest.mark.parametrize(
         "model",
@@ -121,12 +121,16 @@ class TestParamOnlyPass:
         xb = rng.uniform(0.0, 1.0, (5,) + model.input_shape)
         seed = rng.standard_normal((5, model.num_classes))
         names = frozenset(n for n, flag in model.trainable.items() if flag)
-        _, full = backward_batch(forward_batch(model, xb)[1], seed, names)
-        gx, short = backward_batch(forward_batch(model, xb)[1], seed, names, input_grad=False)
+        gy, full = seed, {}
+        for layer, saved in reversed(forward_batch(model, xb)[1].records):
+            gy, terms = layer.backward(model.params, saved, gy, names)
+            full.update(terms)
+        gx, short = backward_batch(forward_batch(model, xb)[1], seed, names)
         assert gx is None
         assert sorted(short) == sorted(full) == sorted(names)
         for name in names:
-            assert full[name].tobytes() == short[name].tobytes()
+            for a, b in zip(full[name].arrays, short[name].arrays, strict=True):
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("head_only, lowest", [(False, "conv0"), (True, "head")])
     def test_pass_stops_at_lowest_layer_with_a_requested_parameter(self, head_only, lowest):
@@ -137,7 +141,7 @@ class TestParamOnlyPass:
         calls = []
         tape.records = [(_Recorder(layer, calls), saved) for layer, saved in tape.records]
         names = frozenset(n for n, flag in model.trainable.items() if flag)
-        backward_batch(tape, np.ones((2, 2)), names, input_grad=False)
+        backward_batch(tape, np.ones((2, 2)), names)
         assert calls[-1] == (lowest, False)
         assert all(keep for _, keep in calls[:-1])
         assert [name for name, _ in calls] == [l.name for l in reversed(model.layers)][: len(calls)]
@@ -154,12 +158,11 @@ class TestGradNames:
             ({"stdz.std", "head.weight", "nope"}, ["nope", "stdz.std"]),
         ],
     )
-    @pytest.mark.parametrize("input_grad", [True, False])
-    def test_names_without_a_gradient_rejected(self, names, missing, input_grad):
+    def test_names_without_a_gradient_rejected(self, names, missing):
         model = tiny_cnn(3, input_shape=(1, 32, 32))
         logits, tape = forward_batch(model, np.zeros((2,) + model.input_shape))
         with pytest.raises(ModelError) as err:
-            backward_batch(tape, np.ones_like(logits), names, input_grad=input_grad)
+            backward_batch(tape, np.ones_like(logits), names)
         assert str(err.value) == "no layer has a gradient for " + ", ".join(map(repr, missing))
 
 
@@ -184,8 +187,8 @@ class TestTapeMemory:
         xb = np.random.default_rng(0).uniform(0.0, 1.0, (n,) + model.input_shape)
         return xb, frozenset(name for name, flag in model.trainable.items() if flag)
 
-    @pytest.mark.parametrize("input_grad", [True, False])
-    def test_consumed_tape_keeps_no_saved_arrays(self, input_grad):
+    @pytest.mark.parametrize("param_pass", [False, True], ids=["input", "params"])
+    def test_consumed_tape_keeps_no_saved_arrays(self, param_pass):
         model = tiny_cnn(3, input_shape=(1, 32, 32))
         xb, names = self._batch(model, n=4)
         logits, tape = forward_batch(model, xb)
@@ -196,15 +199,9 @@ class TestTapeMemory:
             if isinstance(value, np.ndarray)
         ]
         assert len(refs) >= len(model.layers) - 3
-        backward_batch(tape, np.ones_like(logits), names, input_grad=input_grad)
+        backward_batch(tape, np.ones_like(logits), names if param_pass else frozenset())
         assert tape.records == []
         assert all(ref() is None for ref in refs)
-
-    def test_no_owner_pass_drops_every_record(self):
-        model = tiny_cnn(3, input_shape=(1, 32, 32))
-        logits, tape = forward_batch(model, self._batch(model, n=2)[0])
-        assert backward_batch(tape, np.ones_like(logits), input_grad=False) == (None, {})
-        assert tape.records == []
 
     def test_reverse_pass_allocates_little_beyond_the_forward(self):
         model = tiny_cnn(3)

@@ -12,7 +12,7 @@ from fracmap.attack import AttackConfig
 from fracmap.attribution import OcclusionConfig, PathConfig, mean_baseline
 from fracmap.cli import ManifestError, load_run_manifest, main
 from fracmap.coverage import coverage_table
-from fracmap.model import load_model
+from fracmap.model import load_model, save_model, tiny_cnn
 from fracmap.pgm import read_pgm
 from fracmap.synth import load_dataset
 from fracmap.tensor import Tensor
@@ -333,6 +333,24 @@ class TestAttribute:
         err = capsys.readouterr().err
         assert "saliency" in err and "occlusion" in err and "deeplift" in err
 
+    def test_model_with_other_class_names_fails(self, workspace, capsys):
+        swapped = workspace / "swapped.mwf"
+        save_model(tiny_cnn(1, class_names=("healthy", "fractured")), swapped, meta={"seed": 1})
+        out = workspace / "maps4"
+        rc = main(
+            [
+                "attribute",
+                "--manifest", str(workspace / "rm.json"),
+                "--model", str(swapped),
+                "--methods", "saliency",
+                "--images", "img_0000",
+                "--out", str(out),
+            ]
+        )
+        assert rc != 0
+        assert "('healthy', 'fractured')" in capsys.readouterr().err
+        assert not list(out.glob("*.pgm"))
+
     def test_unknown_image_fails(self, workspace, trained, capsys):
         std, _ = trained
         rc = main(
@@ -387,7 +405,7 @@ class TestCoverage:
         rc = main(argv + ["--methods", "saliency", "--percentiles", raw, "--out", str(out)])
         assert rc != 0
         assert f"--percentiles: {problem}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not list(out.glob("*.pgm"))
         assert (tmp_path / "cov.csv.status").read_text().startswith("failed")
 
     @pytest.mark.parametrize(

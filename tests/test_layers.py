@@ -6,7 +6,7 @@ share nothing with the layer code beyond the input arrays. Max pooling's
 DeepLIFT rule is checked against the same rule over stacked windows. Every
 layer of two models is checked against the one ``backward`` contract: its
 parameter gradients come back as ``RowTerms`` that total to the summed
-gradient of ``backward_batch``.
+gradient of ``autodiff.gradients``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.attribution import deeplift_contributions
-from fracmap.autodiff import backward_batch, forward_batch, forward_values
+from fracmap.autodiff import forward_batch, forward_values, gradients
 from fracmap.layers import Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2, ReLU, RowTerms, Standardize
 from fracmap.model import tiny_cnn
 from fracmap.tensor import Tensor
@@ -361,7 +361,7 @@ CONTRACT_MODELS = {
 
 class TestBackwardContract:
     # Every layer's backward returns its parameter gradients as RowTerms,
-    # one per requested name it has a gradient for; backward_batch totals them.
+    # one per requested name it has a gradient for; gradients totals them.
     @pytest.mark.parametrize(
         "model_id, index",
         [(model_id, i) for model_id, m in CONTRACT_MODELS.items() for i in range(len(m.layers))],
@@ -374,7 +374,7 @@ class TestBackwardContract:
         names = frozenset(
             name for layer in model.layers for name, _, has_grad in layer.param_specs() if has_grad
         )
-        _, summed = backward_batch(forward_batch(model, xb)[1], seed, names)
+        summed = gradients(model, xb, lambda _, part_seed: part_seed, seed, grad_names=names)[2]
         _, tape = forward_batch(model, xb)
         gx = seed
         for layer, saved in reversed(tape.records[index:]):

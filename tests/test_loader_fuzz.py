@@ -3,7 +3,9 @@
 Each loader reads a valid file with a few random edits (for a dataset, to
 its manifest or to its annotation file). It may load the file or raise its
 documented error type, whose message names the file it was given; any
-other exception fails the test.
+other exception fails the test. A weight file with random trainable flags
+and class names either loads into a model that trains one step on the
+corpus, or is rejected, at load or by training, with the documented error.
 """
 
 import json
@@ -14,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmap.cli import ManifestError, load_run_manifest
-from fracmap.model import WeightFormatError, load_model, save_model
+from fracmap.model import ModelError, WeightFormatError, load_model, save_model
 from fracmap.pgm import read_pgm, write_pgm
 from fracmap.synth import generate_dataset, load_dataset, save_dataset
+from fracmap.train import TrainConfig, train
 
 from conftest import SMALL_CFG, random_cnn
 
@@ -65,6 +68,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     save_dataset(generate_dataset(seed=8, n=4, cfg=SMALL_CFG), root / "data")
     save_model(random_cnn(3), root / "model.mwf", meta={"seed": 3})
+    save_model(random_cnn(4, input_shape=(1, 32, 32)), root / "model32.mwf")
     write_pgm(root / "image.pgm", np.arange(35, dtype=np.uint8).reshape(5, 7), comment="id=x")
     (root / "empty.txt").write_text("")
     every_key = {
@@ -140,3 +144,48 @@ def test_dataset(workdir, target, edits):
         manifest = manifest.replace(b"annotations=annotations.json", b"annotations=mutant.json")
     (data / "mutant.txt").write_bytes(manifest)
     load_or_raise_naming(load_dataset, data / "mutant.txt", ValueError)
+
+
+def with_flags_and_classes(raw: bytes, flags, names) -> bytes:
+    """An MWF1 file with its param lines' trainable flags and its classes replaced."""
+    size = int.from_bytes(raw[4:8], "little")
+    lines = raw[8 : 8 + size].decode().splitlines()
+    flag = iter(flags)
+    for i, line in enumerate(lines):
+        if line.startswith("classes="):
+            lines[i] = "classes=" + ",".join(names)
+        elif line.startswith("param."):
+            lines[i] = line.rsplit("=", 1)[0] + f"={int(next(flag))}"
+    manifest = ("\n".join(lines) + "\n").encode()
+    return raw[:4] + len(manifest).to_bytes(4, "little") + manifest + raw[8 + size :]
+
+
+@FUZZ
+@given(
+    flags=st.lists(st.booleans(), min_size=6, max_size=6),
+    names=st.sampled_from([("fractured", "healthy"), ("healthy", "fractured"), ("fractured", "normal")])
+    | st.lists(st.sampled_from(["fractured", "healthy", "normal", ""]), min_size=1, max_size=3),
+)
+def test_loaded_model_trains_or_is_rejected(workdir, flags, names):
+    # random_cnn's parameters: stdz.mean, stdz.std, then conv0's and head's.
+    path = workdir / "flagged.mwf"
+    path.write_bytes(with_flags_and_classes((workdir / "model32.mwf").read_bytes(), flags, names))
+    if flags[0] or flags[1] or len(names) != 2 or "" in names:
+        with pytest.raises(WeightFormatError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+        return
+    model, _ = load_model(path)
+    ds = load_dataset(workdir / "data" / "dataset.txt")
+    cfg = TrainConfig(epochs=1, batch_size=len(ds.split_indices("train")))
+    if not any(flags):
+        with pytest.raises(ValueError, match="no trainable parameters"):
+            train(model, ds, cfg)
+    elif tuple(names) != ds.class_names:
+        with pytest.raises(ModelError, match="do not match"):
+            train(model, ds, cfg)
+    else:
+        trained = train(model, ds, cfg).model
+        for name, flag in model.trainable.items():
+            assert np.all(np.isfinite(trained.params[name]))
+            assert flag or trained.params[name].tobytes() == model.params[name].tobytes(), name

@@ -16,8 +16,10 @@ from fracmap.model import (
     save_model,
     tiny_cnn,
 )
+from fracmap.attack import AttackConfig, adv_accuracy
+from fracmap.coverage import coverage_table
 from fracmap.synth import generate_dataset
-from fracmap.train import TrainConfig, train
+from fracmap.train import TrainConfig, adv_train, evaluate, train
 
 from conftest import SMALL_CFG, frozen_backbone, random_cnn
 
@@ -52,6 +54,28 @@ class TestModelConstruction:
             m.layers = ()
         with pytest.raises(ValueError):
             m.params["head.bias"][0] = 1.0
+
+
+class TestCheckClasses:
+    # Each caller that pairs a model with a dataset checks that both name the
+    # same classes in the same order before any work.
+    @pytest.mark.parametrize("names", [("a", "b", "c"), ("healthy", "fractured")])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m, ds: train(m, ds, TrainConfig(epochs=1)),
+            lambda m, ds: adv_train(m, ds, AttackConfig(), TrainConfig(epochs=1)),
+            lambda m, ds: evaluate(m, ds, "test"),
+            lambda m, ds: adv_accuracy(m, ds, "test", AttackConfig()),
+            lambda m, ds: coverage_table({"m": m}, ["saliency"], [85], ds, ds.annotations),
+        ],
+        ids=["train", "adv_train", "evaluate", "adv_accuracy", "coverage_table"],
+    )
+    def test_data_with_other_class_names_rejected(self, small_dataset, names, run):
+        model = tiny_cnn(1, input_shape=small_dataset.image_shape, class_names=names)
+        with pytest.raises(ModelError) as err:
+            run(model, small_dataset)
+        assert str(err.value) == f"model classes {names} do not match the data's ('fractured', 'healthy')"
 
 
 class TestWeightFile(object):

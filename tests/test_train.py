@@ -1,6 +1,5 @@
 """Training loops, the zero-radius equivalence, and accuracy evaluation."""
 
-import importlib
 import threading
 
 import numpy as np
@@ -17,9 +16,6 @@ from fracmap.tensor import Tensor
 from fracmap.train import DivergenceError, TrainConfig, _Adam, adv_train, evaluate, train
 
 from conftest import SMALL_CFG, frozen_backbone, linear_model, random_cnn
-
-# The module: the package's ``fracmap.train`` attribute is the train function.
-TRAIN_MODULE = importlib.import_module("fracmap.train")
 
 
 def brightness_dataset(n_per_class=4, side=4):
@@ -165,8 +161,8 @@ def train_one_pass(model, ds, cfg):
             logits, tape = forward_batch(current, xb)
             losses.append(float(np.mean(cross_entropy(logits, yb))))
             seed = cross_entropy_grad(logits, yb) / len(yb)
-            _, grads = backward_batch(tape, seed, frozenset(trainable), input_grad=False)
-            opt.step(work, grads)
+            _, terms = backward_batch(tape, seed, frozenset(trainable))
+            opt.step(work, {name: t.total(*t.arrays) for name, t in terms.items()})
         trace.append(float(np.mean(losses)))
     return {**model.params, **work}, trace
 
@@ -179,7 +175,7 @@ def train_recording_threads(model, ds, cfg, monkeypatch):
         threads.append(threading.get_ident())
         return forward_batch(model, xb)
 
-    monkeypatch.setattr(TRAIN_MODULE, "forward_batch", recorded)
+    monkeypatch.setattr("fracmap.autodiff.forward_batch", recorded)
     return train(model, ds, cfg), threads
 
 
@@ -221,12 +217,12 @@ class TestTrainRowParts:
         params, trace = train_one_pass(model, quick_dataset, cfg)
         grad_names = []
 
-        def recorded(tape, seed, names, **kwargs):
-            gx, terms = backward_batch(tape, seed, names, **kwargs)
+        def recorded(tape, seed, names):
+            gx, terms = backward_batch(tape, seed, names)
             grad_names.append(sorted(terms))
             return gx, terms
 
-        monkeypatch.setattr(TRAIN_MODULE, "backward_batch", recorded)
+        monkeypatch.setattr("fracmap.autodiff.backward_batch", recorded)
         result = train(model, quick_dataset, cfg)
         assert_same_bytes(result, params, trace)
         assert grad_names == [["head.bias", "head.weight"]] * 12  # 3 batches of 4 parts

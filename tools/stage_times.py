@@ -45,7 +45,7 @@ layers take turns. Each backward takes a standard normal output gradient.
 The ``input grad`` column times the input gradient alone
 (``grad_names=frozenset()``); the ``param grads`` column times every
 parameter gradient the layer has, without the input gradient
-(``input_grad=False``), totalled over the batch as a summed reverse pass
+(``input_grad=False``), totalled over the batch as ``autodiff.gradients``
 totals them, and reads ``-`` for a layer without trainable parameters.
 
 BLAS is pinned to one thread, as in perfbench, unless numpy was loaded
@@ -143,8 +143,9 @@ def _layer_times(tiny_cnn, repeats):
 
 def _param_grads(layer, params, saved, gy, names):
     """The layer's parameter gradients, its terms totalled over the batch."""
-    _, terms = layer.backward(params, saved, gy, names, input_grad=False)
-    return {name: t.total(*t.arrays) for name, t in terms.items()}
+    from fracmap.layers import sum_row_terms
+
+    return sum_row_terms([layer.backward(params, saved, gy, names, input_grad=False)[1]])
 
 
 def _stages(ds):
