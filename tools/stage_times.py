@@ -45,8 +45,11 @@ layers take turns. Each backward takes a standard normal output gradient.
 The ``input grad`` column times the input gradient alone
 (``grad_names=frozenset()``); the ``param grads`` column times every
 parameter gradient the layer has, without the input gradient
-(``input_grad=False``), totalled over the batch as ``autodiff.gradients``
-totals them, and reads ``-`` for a layer without trainable parameters.
+(``input_grad=False``), totalled over the batch through
+``layers.sum_row_terms`` as ``autodiff.gradients`` totals them, and reads
+``-`` for a layer without trainable parameters. That total joins its one
+part, so the column includes one copy of each term array, which the
+readings in ``BENCH_22.json`` do not.
 
 BLAS is pinned to one thread, as in perfbench, unless numpy was loaded
 before ``main`` ran. Run it once on the parent commit's tree and once on a
