@@ -25,10 +25,9 @@ from .attribution import (
     integrated_gradients,
     normalize,
     occlusion,
-    occlusion_linearized,
     saliency,
 )
-from .autodiff import forward, grad_input, numeric_gradient
+from .autodiff import forward, grad_input
 from .coverage import (
     AnnotationSet,
     BinaryMask,
@@ -119,9 +118,7 @@ __all__ = [
     "load_dataset",
     "load_model",
     "normalize",
-    "numeric_gradient",
     "occlusion",
-    "occlusion_linearized",
     "point_coverage",
     "rank_models",
     "replace_head",

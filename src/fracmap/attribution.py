@@ -40,7 +40,6 @@ __all__ = [
     "METHODS",
     "saliency",
     "occlusion",
-    "occlusion_linearized",
     "deeplift",
     "deeplift_contributions",
     "integrated_gradients",
@@ -200,24 +199,6 @@ def occlusion(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
     logits = forward_values(model, boxes, base=(img, rows, cols))[:, c]
     scores = (logits[-1] - logits[:-1]).reshape(len(positions), -1).sum(axis=1)
     return _map("occlusion", _upsample_covering(x.shape, scores, cfg), c, cfg.digest())
-
-
-def occlusion_linearized(model, x: Tensor, c: int, cfg: OcclusionConfig) -> AttributionMap:
-    """First-order occlusion: score -grad . (patch replacement delta).
-
-    One gradient pass replaces the per-position forward passes; exact for
-    linear models, first-order accurate otherwise. Grid and upsampling match
-    ``occlusion``.
-    """
-    positions = _occlusion_grid(x.shape, cfg)
-    g = grad_input(model, x, c).array
-    delta = cfg.baseline_value - x.array  # replacement minus original
-    weighted = g * delta
-    scores = [
-        -float(weighted[:, i : i + cfg.patch_h, j : j + cfg.patch_w].sum())
-        for i, j in positions
-    ]
-    return _map("occlusion_linearized", _upsample_covering(x.shape, scores, cfg), c, cfg.digest())
 
 
 def deeplift_contributions(model, x: Tensor, c: int, x_ref: Tensor) -> np.ndarray:

@@ -209,15 +209,16 @@ def coverage_table(
     is built by ``attribution.METHODS`` from ``occlusion_cfg``, ``path_cfg``
     (integrated gradients) and ``reference`` (DeepLIFT); these default to an
     8x8/stride-4 zero patch, 20 steps from a zero image, and a zero image.
-    Every model must name the dataset's classes, and every map explains the
-    ``fractured`` class (class 0 if the dataset has none). Aggregation runs
-    over the annotated images of ``split`` (unweighted mean of per-image
-    ratios, reported in percent). The row set is complete: a cell whose
-    maps cannot be computed (an ``attribution.MapError`` such as a patch
-    larger than the image) becomes ``N/A`` with the failure reason rather
-    than being skipped. A map whose values are all equal ranks no pixel
-    above another, so it makes the cell ``N/A:constant map for <image id>``
-    instead of a mask that keeps every pixel. Every other error propagates.
+    Every model must name the dataset's classes, and every map explains
+    ``synth.FRACTURED``, the annotated class, as ``fracmap attribute`` does
+    by default. Aggregation runs over the annotated images of ``split``
+    (unweighted mean of per-image ratios, reported in percent). The row set
+    is complete: a cell whose maps cannot be computed (an
+    ``attribution.MapError`` such as a patch larger than the image) becomes
+    ``N/A`` with the failure reason rather than being skipped. A map whose
+    values are all equal ranks no pixel above another, so it makes the cell
+    ``N/A:constant map for <image id>`` instead of a mask that keeps every
+    pixel. Every other error propagates.
     """
     for image_id in ann.entries:
         if image_id not in ds.ids:
@@ -227,8 +228,9 @@ def coverage_table(
     annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ann]
     if not annotated:
         raise ValueError(f"split {split!r} has no annotated images")
+    from .synth import FRACTURED  # synth imports this module
+
     names = tuple(ds.class_names)
-    target_class = names.index("fractured") if "fractured" in names else 0
     occ_cfg = occlusion_cfg or OcclusionConfig()
     zero = Tensor(np.zeros(ds.image_shape))
     path_cfg = path_cfg or PathConfig(baseline=zero)
@@ -244,7 +246,7 @@ def coverage_table(
             for i in annotated:
                 try:
                     amap = METHODS[method](
-                        model, ds.images[i], target_class, occ_cfg, path_cfg, ref
+                        model, ds.images[i], FRACTURED, occ_cfg, path_cfg, ref
                     )
                     if amap.values.min() == amap.values.max():
                         raise MapError(f"constant map for {ds.ids[i]}")

@@ -82,7 +82,7 @@ class Model:
     instances; instances are safe to share across threads.
     """
 
-    __slots__ = ("layers", "params", "trainable", "input_shape", "class_names", "shapes")
+    __slots__ = ("layers", "params", "trainable", "input_shape", "class_names")
 
     def __init__(self, layers, params, trainable, input_shape, class_names):
         layers = tuple(layers)
@@ -96,12 +96,12 @@ class Model:
             if not name or any(ch in name for ch in ",=\n"):
                 raise ModelError(f"invalid class name {name!r}")
 
-        shapes = [input_shape]
+        shape = input_shape
         for layer in layers:
             if not _NAME_RE.match(layer.name):
                 raise ModelError(f"invalid layer name {layer.name!r}")
             try:
-                shapes.append(layer.out_shape(shapes[-1]))
+                shape = layer.out_shape(shape)
             except LayerShapeError as exc:
                 raise ModelError(str(exc)) from None
 
@@ -145,7 +145,6 @@ class Model:
         object.__setattr__(self, "trainable", flags)
         object.__setattr__(self, "input_shape", input_shape)
         object.__setattr__(self, "class_names", class_names)
-        object.__setattr__(self, "shapes", tuple(shapes))
 
     def __setattr__(self, name, value):
         raise AttributeError("Model is immutable")

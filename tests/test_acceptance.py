@@ -21,10 +21,9 @@ from fracmap.attribution import (
     deeplift_contributions,
     ig_attributions,
     occlusion,
-    occlusion_linearized,
     saliency,
 )
-from fracmap.autodiff import forward_values, grad_input, kink_margin, numeric_gradient
+from fracmap.autodiff import forward_values, grad_input
 from fracmap.coverage import coverage_table, point_coverage, threshold_mask
 from fracmap.model import tiny_cnn
 from fracmap.synth import SynthConfig, generate_dataset
@@ -32,6 +31,7 @@ from fracmap.tensor import Tensor
 from fracmap.train import TrainConfig, adv_train, evaluate, train
 
 from conftest import linear_model, rand_image, random_cnn
+from oracles import kink_margin, numeric_gradient, occlusion_linearized
 
 EVAL_ATTACK = AttackConfig(epsilon=4 / 255, step_size=1 / 255, iters=10)
 TRAIN_ATTACK = AttackConfig(epsilon=4 / 255, step_size=5 / 255, iters=1, random_start=True)

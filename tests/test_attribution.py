@@ -21,7 +21,6 @@ from fracmap.attribution import (
     mean_baseline,
     normalize,
     occlusion,
-    occlusion_linearized,
     saliency,
     write_heatmap,
 )
@@ -31,8 +30,6 @@ from fracmap.autodiff import (
     backward_batch,
     forward_batch,
     forward_values,
-    kink_margin,
-    numeric_gradient,
 )
 from fracmap.model import tiny_cnn
 from fracmap.pgm import read_pgm
@@ -40,6 +37,7 @@ from fracmap.synth import SynthConfig, generate_dataset
 from fracmap.tensor import Tensor
 
 from conftest import linear_model, rand_image, random_cnn, spy_layer_forwards, write_boxes
+from oracles import kink_margin, numeric_gradient, occlusion_linearized
 
 
 def zeros_like_input(model):

@@ -19,15 +19,12 @@ from fracmap.autodiff import (
     TapeError,
     backward,
     backward_batch,
-    central_difference,
     forward,
     forward_batch,
     forward_values,
     grad_input,
     grad_input_weighted,
-    kink_margin,
     map_row_parts,
-    numeric_gradient,
     row_parts,
 )
 from fracmap.layers import GEMM_TILE, Conv2d, Dense, Flatten, ReLU
@@ -35,6 +32,7 @@ from fracmap.model import Model, ModelError, tiny_cnn
 from fracmap.tensor import Tensor
 
 from conftest import frozen_backbone, linear_model, rand_image, random_cnn, spy_layer_forwards, write_boxes
+from oracles import central_difference, kink_margin, numeric_gradient
 
 
 def passthrough_tail(n, prefix_layers, input_shape, params=None):

@@ -1,11 +1,13 @@
 """Percentile masks, point coverage, and the aggregated coverage table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmap.attribution import AttributionMap, MapError, OcclusionConfig, normalize
+from fracmap.attribution import AttributionMap, MapError, OcclusionConfig, normalize, saliency
 from fracmap.coverage import (
     AnnotationEntry,
     AnnotationSet,
@@ -277,6 +279,23 @@ class TestCoverageTable:
         for row in report.rows:
             assert row.coverage is None
             assert row.formatted().startswith("N/A:constant map for img_")
+
+    def test_maps_explain_class_zero_whatever_its_name(self, table_setup):
+        # fracmap attribute explains class 0 by default; the table must score
+        # those maps even when the classes are named the other way round.
+        # Class 1's logit is constant here, so its maps would read N/A.
+        ds, _ = table_setup
+        swapped = ("healthy", "fractured")
+        ds = dataclasses.replace(ds, class_names=swapped)
+        m = tiny_cnn(seed=23, input_shape=(1, 32, 32), class_names=swapped)
+        weight = m.params["head.weight"].copy()
+        weight[1] = 0.0
+        model = m.with_params({**m.params, "head.weight": weight})
+        report = coverage_table({"m": model}, ["saliency"], [85], ds, ds.annotations)
+        annotated = [i for i in ds.split_indices("test") if ds.ids[i] in ds.annotations]
+        masks = [threshold_mask(saliency(model, ds.images[i], 0), 85) for i in annotated]
+        entries = [ds.annotations.get(ds.ids[i]) for i in annotated]
+        assert report.rows[0].coverage == 100.0 * float(np.mean(list(map(point_coverage, masks, entries))))
 
     def test_two_decimal_formatting_matches_report_shape(self):
         row = CoverageRow("m", "integrated_gradients", 95.0, 29.114999, None)

@@ -4,7 +4,9 @@
     python3 tools/loc.py TREE
 
 For each module, and in total, prints its lines and how many of them are
-code, docstring, comment and blank (standard library only):
+code, docstring, comment and blank (standard library only). A last line
+totals ``tests/*.py`` the same way, so that code moved from ``src/`` into
+the tests shows on both sides.
 
 * code: a line holding a token of code, a docstring excepted; a string
   that spans lines counts on every line it spans;
@@ -71,15 +73,23 @@ def count(source: str) -> dict:
     }
 
 
+def _total(rows) -> dict:
+    return {kind: sum(row[kind] for row in rows) for kind in KINDS}
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(f"usage: {argv[0]} TREE", file=sys.stderr)
         return 2
+    tree = Path(argv[1])
     rows = {
         path.name: count(path.read_text(encoding="utf-8"))
-        for path in sorted((Path(argv[1]) / "src" / "fracmap").glob("*.py"))
+        for path in sorted((tree / "src" / "fracmap").glob("*.py"))
     }
-    rows["total"] = {kind: sum(row[kind] for row in rows.values()) for kind in KINDS}
+    rows["total"] = _total(rows.values())
+    rows["tests/*.py"] = _total(
+        [count(path.read_text(encoding="utf-8")) for path in sorted((tree / "tests").glob("*.py"))]
+    )
     width = max(map(len, rows))
     print(f"{'module':<{width}}" + "".join(f"{kind:>10}" for kind in KINDS))
     for name, row in rows.items():
