@@ -28,15 +28,9 @@ from .attribution import (
     saliency,
 )
 from .autodiff import forward, grad_input
-from .coverage import (
-    AnnotationSet,
-    BinaryMask,
-    coverage_table,
-    point_coverage,
-    threshold_mask,
-)
+from .coverage import BinaryMask, coverage_table, point_coverage, threshold_mask
 from .model import Model, load_model, replace_head, save_model, tiny_cnn
-from .synth import Dataset, SynthConfig, generate_dataset, load_dataset, save_dataset
+from .synth import AnnotationSet, Dataset, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
 from .train import TrainConfig, adv_train, evaluate, train
 

@@ -37,7 +37,7 @@ from .atomic import atomic_open
 from .attribution import METHODS, OcclusionConfig, PathConfig, mean_baseline, write_heatmap
 from .coverage import check_methods, check_percentiles, coverage_table, write_csv
 from .model import load_model, save_model, tiny_cnn
-from .synth import FRACTURED, SynthConfig, generate_dataset, load_dataset, save_dataset
+from .synth import FRACTURED, SPLITS, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .tensor import Tensor
 from .train import TrainConfig, adv_train, evaluate, train
 
@@ -101,6 +101,8 @@ class _CoverageSection:
 
     def __post_init__(self):
         check_percentiles(self.percentiles)
+        if self.split not in SPLITS:
+            raise ValueError(f"split {self.split!r} is not one of {', '.join(SPLITS)}")
 
 
 _ATTACK_KEYS = {
@@ -282,7 +284,7 @@ def cmd_train(args, status) -> str:
         "loss_trace": result.loss_trace,
         "clean_acc": {
             split: evaluate(result.model, ds, split)
-            for split in ("train", "val", "test")
+            for split in SPLITS
             if ds.split_indices(split)
         },
     }
@@ -384,7 +386,6 @@ def cmd_coverage(args, status) -> str:
         methods,
         percentiles,
         ds,
-        ds.annotations,
         split=rm.coverage.split,
         occlusion_cfg=rm.occlusion,
         path_cfg=path_cfg,

@@ -5,28 +5,24 @@ nu-th percentile of that map's own values, so the threshold adapts per
 image. The point coverage ratio is the fraction of annotated coordinates
 falling inside the mask. ``coverage_table`` aggregates the mean ratio over
 all annotated images of a split for every (model, method, percentile) cell,
-emitting N/A with a reason for cells that cannot be computed.
-
-Annotation files are JSON: ``{"entries": {image_id: [[x, y], ...]}, "meta":
-{...}}`` with x as column index and y as row index.
+emitting N/A with a reason for cells that cannot be computed. The
+annotated points and their file format belong to the dataset (``synth``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_open
 from .attribution import METHODS, AttributionMap, MapError, OcclusionConfig, PathConfig
+from .synth import FRACTURED, AnnotationEntry
 from .tensor import Tensor
 
 __all__ = [
     "BinaryMask",
-    "AnnotationEntry",
-    "AnnotationSet",
     "CoverageRow",
     "CoverageReport",
     "check_percentiles",
@@ -36,8 +32,6 @@ __all__ = [
     "point_coverage",
     "coverage_table",
     "write_csv",
-    "save_annotations",
-    "load_annotations",
 ]
 
 
@@ -60,39 +54,6 @@ class BinaryMask:
     @property
     def shape(self):
         return self.values.shape
-
-
-@dataclass(frozen=True)
-class AnnotationEntry:
-    """Expert-marked pixel coordinates for one image: (x=column, y=row)."""
-
-    image_id: str
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple((int(x), int(y)) for x, y in self.points)
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"duplicate annotation points for {self.image_id!r}")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass
-class AnnotationSet:
-    """Annotation entries keyed by image id."""
-
-    entries: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.entries = {
-            image_id: AnnotationEntry(image_id, points).points
-            for image_id, points in self.entries.items()
-        }
-
-    def get(self, image_id: str) -> AnnotationEntry:
-        return AnnotationEntry(image_id, self.entries[image_id])
-
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self.entries
 
 
 def check_percentiles(nus) -> None:
@@ -197,7 +158,6 @@ def coverage_table(
     methods,
     percentiles,
     ds,
-    ann: AnnotationSet,
     split: str = "test",
     occlusion_cfg: OcclusionConfig | None = None,
     path_cfg: PathConfig | None = None,
@@ -211,8 +171,9 @@ def coverage_table(
     8x8/stride-4 zero patch, 20 steps from a zero image, and a zero image.
     Every model must name the dataset's classes, and every map explains
     ``synth.FRACTURED``, the annotated class, as ``fracmap attribute`` does
-    by default. Aggregation runs over the annotated images of ``split``
-    (unweighted mean of per-image ratios, reported in percent). The row set
+    by default. Aggregation runs over the images of ``split`` that
+    ``ds.annotations`` marks (unweighted mean of per-image ratios, reported
+    in percent); ``Dataset`` has already checked those annotations. The row set
     is complete: a cell whose maps cannot be computed (an
     ``attribution.MapError`` such as a patch larger than the image) becomes
     ``N/A`` with the failure reason rather than being skipped. A map whose
@@ -220,16 +181,11 @@ def coverage_table(
     ``N/A:constant map for <image id>`` instead of a mask that keeps every
     pixel. Every other error propagates.
     """
-    for image_id in ann.entries:
-        if image_id not in ds.ids:
-            raise ValueError(f"annotated image {image_id!r} is not in the dataset")
     check_percentiles(percentiles)
     check_methods(methods)
-    annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ann]
+    annotated = [i for i in ds.split_indices(split) if ds.ids[i] in ds.annotations]
     if not annotated:
         raise ValueError(f"split {split!r} has no annotated images")
-    from .synth import FRACTURED  # synth imports this module
-
     names = tuple(ds.class_names)
     occ_cfg = occlusion_cfg or OcclusionConfig()
     zero = Tensor(np.zeros(ds.image_shape))
@@ -253,7 +209,7 @@ def coverage_table(
                 except MapError as exc:
                     failure = str(exc)
                     break
-                entry = ann.get(ds.ids[i])
+                entry = ds.annotations.get(ds.ids[i])
                 for nu in percentiles:
                     ratios[nu].append(point_coverage(threshold_mask(amap, nu), entry))
             for nu in percentiles:
@@ -263,41 +219,3 @@ def coverage_table(
                     mean_pct = 100.0 * float(np.mean(ratios[nu]))
                     rows.append(CoverageRow(model_id, method, float(nu), mean_pct))
     return CoverageReport(rows=rows)
-
-
-def save_annotations(ann: AnnotationSet, path, meta=None) -> None:
-    payload = {
-        "entries": {
-            image_id: [[x, y] for x, y in points]
-            for image_id, points in sorted(ann.entries.items())
-        },
-        "meta": {str(k): str(v) for k, v in sorted((meta or {}).items())},
-    }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _is_point(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
-
-
-def load_annotations(path) -> AnnotationSet:
-    """Read an annotation file; a malformed one raises ``ValueError`` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise ValueError(f"annotations {path}: invalid JSON ({exc})") from None
-    entries = payload.get("entries") if isinstance(payload, dict) else None
-    if not isinstance(entries, dict):
-        raise ValueError(f"annotations {path}: lacks an 'entries' object")
-    for image_id, points in entries.items():
-        if not isinstance(points, list) or not all(map(_is_point, points)):
-            raise ValueError(
-                f"annotations {path}: points of {image_id!r} must be a list of [x, y] integer pairs"
-            )
-    try:
-        return AnnotationSet(entries=entries)
-    except ValueError as exc:  # duplicate points
-        raise ValueError(f"annotations {path}: {exc}") from None

@@ -14,36 +14,43 @@ assignment is stratified with exact per-class counts.
 
 On disk a dataset is a manifest text file listing one image per line (path,
 id, label, split) plus header keys (seed, image size, class names,
-annotation file), with images as binary PGM and annotations in the JSON
-format owned by the coverage module.
+annotation file), with images as binary PGM. The annotation file is JSON:
+``{"entries": {image_id: [[x, y], ...]}, "meta": {...}}`` with x as column
+index and y as row index; every id names an image of the dataset.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_open
-from .coverage import AnnotationSet, load_annotations, save_annotations
 from .pgm import read_pgm, to_bytes_gray, to_unit, write_pgm
 from .tensor import Tensor
 
 __all__ = [
     "CLASS_NAMES",
+    "SPLITS",
     "SynthConfig",
     "Sample",
+    "AnnotationEntry",
+    "AnnotationSet",
     "Dataset",
     "generate_dataset",
     "render_sample",
     "save_dataset",
     "load_dataset",
+    "save_annotations",
+    "load_annotations",
 ]
 
 CLASS_NAMES = ("fractured", "healthy")
 FRACTURED, HEALTHY = 0, 1
+SPLITS = ("train", "val", "test")
 
 # Fixed look of every corpus; ranges are (low, high) draws per image.
 BASE_RANGE = (0.10, 0.20)  # background level
@@ -87,13 +94,46 @@ class Sample:
     pre_crack: np.ndarray  # the same image before the crack was carved
 
 
+@dataclass(frozen=True)
+class AnnotationEntry:
+    """Expert-marked pixel coordinates for one image: (x=column, y=row)."""
+
+    image_id: str
+    points: tuple
+
+    def __post_init__(self):
+        pts = tuple((int(x), int(y)) for x, y in self.points)
+        if len(set(pts)) != len(pts):
+            raise ValueError(f"duplicate annotation points for {self.image_id!r}")
+        object.__setattr__(self, "points", pts)
+
+
+@dataclass
+class AnnotationSet:
+    """Annotation entries keyed by image id."""
+
+    entries: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.entries = {
+            image_id: AnnotationEntry(image_id, points).points
+            for image_id, points in self.entries.items()
+        }
+
+    def get(self, image_id: str) -> AnnotationEntry:
+        return AnnotationEntry(image_id, self.entries[image_id])
+
+    def __contains__(self, image_id: str) -> bool:
+        return image_id in self.entries
+
+
 @dataclass
 class Dataset:
     """In-memory corpus: images, labels, split tags, ids, annotations."""
 
     images: list  # list[Tensor], each (C, H, W) with values in [0, 1]
     labels: list  # int per image, indexing class_names
-    split: list  # "train" | "val" | "test" per image
+    split: list  # one of SPLITS per image
     ids: list  # stable image identifiers
     annotations: AnnotationSet
     class_names: tuple = CLASS_NAMES
@@ -103,7 +143,9 @@ class Dataset:
         n = len(self.images)
         if not (len(self.labels) == len(self.split) == len(self.ids) == n):
             raise ValueError("images, labels, split, and ids must align")
-        for img, label, image_id in zip(self.images, self.labels, self.ids):
+        for img, label, tag, image_id in zip(self.images, self.labels, self.split, self.ids):
+            if tag not in SPLITS:
+                raise ValueError(f"image {image_id!r} has split {tag!r}, not one of {SPLITS}")
             if img.shape != self.images[0].shape:
                 raise ValueError(
                     f"image {image_id!r} has shape {img.shape}, but the first image "
@@ -126,6 +168,9 @@ class Dataset:
         if len(self._index) < n:
             dup = next(image_id for i, image_id in enumerate(self.ids) if self._index[image_id] != i)
             raise ValueError(f"image id {dup!r} appears more than once")
+        for image_id in self.annotations.entries:
+            if image_id not in self._index:
+                raise ValueError(f"annotated image {image_id!r} is not in the dataset")
 
     def split_indices(self, split: str) -> list:
         return [i for i, s in enumerate(self.split) if s == split]
@@ -308,6 +353,44 @@ def generate_dataset(seed: int, n: int, cfg: SynthConfig = SynthConfig()) -> Dat
     )
 
 
+def save_annotations(ann: AnnotationSet, path, meta=None) -> None:
+    payload = {
+        "entries": {
+            image_id: [[x, y] for x, y in points]
+            for image_id, points in sorted(ann.entries.items())
+        },
+        "meta": {str(k): str(v) for k, v in sorted((meta or {}).items())},
+    }
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _is_point(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
+
+
+def load_annotations(path) -> AnnotationSet:
+    """Read an annotation file; a malformed one raises ``ValueError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValueError(f"annotations {path}: invalid JSON ({exc})") from None
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, dict):
+        raise ValueError(f"annotations {path}: lacks an 'entries' object")
+    for image_id, points in entries.items():
+        if not isinstance(points, list) or not all(map(_is_point, points)):
+            raise ValueError(
+                f"annotations {path}: points of {image_id!r} must be a list of [x, y] integer pairs"
+            )
+    try:
+        return AnnotationSet(entries=entries)
+    except ValueError as exc:  # duplicate points
+        raise ValueError(f"annotations {path}: {exc}") from None
+
+
 def save_dataset(ds: Dataset, out_dir) -> tuple:
     """Write PGM images, the dataset manifest, and the annotation file.
 
@@ -343,10 +426,11 @@ def save_dataset(ds: Dataset, out_dir) -> tuple:
 def load_dataset(manifest_path) -> Dataset:
     """Read a dataset manifest plus its images and annotations.
 
-    A malformed manifest, a row whose image cannot be read or differs from
-    the ``image_size=`` header, and a malformed annotation file each raise
-    ``ValueError`` naming the manifest (and the line, for a bad row or
-    header value).
+    A malformed manifest (a ``split=`` tag outside ``SPLITS`` included), a
+    row whose image cannot be read or differs from the ``image_size=``
+    header, and a malformed annotation file or one naming an image the
+    manifest does not list each raise ``ValueError`` naming the manifest
+    (and the line, for a bad row or header value).
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -396,6 +480,8 @@ def load_dataset(manifest_path) -> Dataset:
             raise ValueError(
                 f"{where}: label={kv['label']!r} is not one of the classes {list(class_names)}"
             )
+        if kv["split"] not in SPLITS:
+            raise ValueError(f"{where}: split={kv['split']!r} is not one of {SPLITS}")
         try:
             image = Tensor(to_unit(read_pgm(base / parts[0]))[None])
         except (OSError, ValueError) as exc:

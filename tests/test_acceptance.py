@@ -295,7 +295,6 @@ def test_criterion_8_desk_scale_replication(corpus, standard_model, adversarial_
         ["saliency"],
         [85],
         corpus,
-        corpus.annotations,
     )
     cov = {row.model_id: row.coverage for row in table.rows}
 

@@ -151,6 +151,7 @@ class TestManifestKeys:
             ({"coverage": {"percentiles": [85, float("-inf")]}}, "coverage.percentiles"),
             ({"coverage": {"percentiles": []}}, "coverage.percentiles"),
             ({"coverage": {"percentiles": [15, 85, 15]}}, "coverage.percentiles"),
+            ({"coverage": {"split": "tset"}}, "coverage.split"),
         ],
         ids=[
             "string-bool",
@@ -166,6 +167,7 @@ class TestManifestKeys:
             "infinity-in-list",
             "empty-percentiles",
             "repeated-percentiles",
+            "unknown-split",
         ],
     )
     def test_defect_names_manifest_and_field(self, tmp_path, payload, field):
@@ -458,7 +460,7 @@ class TestCoverage:
 
         def rows_for(path_cfg):
             report = coverage_table(
-                {std.stem: model}, methods, percentiles, ds, ds.annotations,
+                {std.stem: model}, methods, percentiles, ds,
                 path_cfg=path_cfg, reference=mean,
             )
             return [f"{r.model_id},{r.method},{r.percentile:g},{r.formatted()}" for r in report.rows]

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 
 from fracmap.attribution import AttributionMap, MapError, OcclusionConfig, normalize, saliency
 from fracmap.coverage import (
-    AnnotationEntry,
-    AnnotationSet,
     CoverageRow,
     coverage_table,
-    load_annotations,
     nearest_rank_percentile,
     point_coverage,
-    save_annotations,
     threshold_mask,
     write_csv,
 )
 from fracmap.model import ModelError, tiny_cnn
-from fracmap.synth import generate_dataset
+from fracmap.synth import (
+    AnnotationEntry,
+    AnnotationSet,
+    generate_dataset,
+    load_annotations,
+    save_annotations,
+)
 from fracmap.train import TrainConfig, train
 
 from conftest import SMALL_CFG
@@ -178,7 +180,6 @@ class TestCoverageTable:
             ["saliency", "deeplift"],
             [15, 75, 85, 95],
             ds,
-            ds.annotations,
             occlusion_cfg=OcclusionConfig(patch_h=4, patch_w=4),
         )
         assert len(report.rows) == 2 * 2 * 4
@@ -188,15 +189,13 @@ class TestCoverageTable:
 
     def test_coverage_nonincreasing_in_percentile(self, table_setup):
         ds, model = table_setup
-        report = coverage_table(
-            {"m": model}, ["saliency"], [15, 75, 85, 95], ds, ds.annotations
-        )
+        report = coverage_table({"m": model}, ["saliency"], [15, 75, 85, 95], ds)
         values = [row.coverage for row in report.rows]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_zero_percentile_row_is_exactly_hundred(self, table_setup):
         ds, model = table_setup
-        report = coverage_table({"m": model}, ["saliency"], [0], ds, ds.annotations)
+        report = coverage_table({"m": model}, ["saliency"], [0], ds)
         assert report.rows[0].coverage == 100.0
         assert report.rows[0].formatted() == "100.00"
 
@@ -207,7 +206,6 @@ class TestCoverageTable:
             ["occlusion"],
             [15, 95],
             ds,
-            ds.annotations,
             occlusion_cfg=OcclusionConfig(patch_h=128, patch_w=128),
         )
         assert len(report.rows) == 2
@@ -221,18 +219,18 @@ class TestCoverageTable:
         ds, _ = table_setup
         wrong = tiny_cnn(seed=19, input_shape=(1, 64, 64))  # corpus images are 1x32x32
         with pytest.raises(ModelError, match="input shape"):
-            coverage_table({"m": wrong}, [method], [15], ds, ds.annotations)
+            coverage_table({"m": wrong}, [method], [15], ds)
 
     def test_empty_percentile_list_rejected(self, table_setup):
         # An empty list would compute every map and then return no rows.
         ds, model = table_setup
         with pytest.raises(ValueError, match="percentile list is empty"):
-            coverage_table({"m": model}, ["saliency"], [], ds, ds.annotations)
+            coverage_table({"m": model}, ["saliency"], [], ds)
 
     def test_unknown_method_rejected(self, table_setup):
         ds, model = table_setup
         with pytest.raises(ValueError, match="gradcam"):
-            coverage_table({"m": model}, ["gradcam"], [15], ds, ds.annotations)
+            coverage_table({"m": model}, ["gradcam"], [15], ds)
 
     @pytest.mark.parametrize(
         "methods, percentiles, problem",
@@ -247,13 +245,7 @@ class TestCoverageTable:
         # Either would give a table with no rows or with identical rows.
         ds, model = table_setup
         with pytest.raises(ValueError, match=problem):
-            coverage_table({"m": model}, methods, percentiles, ds, ds.annotations)
-
-    def test_unknown_image_in_annotations_rejected(self, table_setup):
-        ds, model = table_setup
-        ann = AnnotationSet(entries={"img_9999": ((1, 1),)})
-        with pytest.raises(ValueError, match="img_9999"):
-            coverage_table({"m": model}, ["saliency"], [15], ds, ann)
+            coverage_table({"m": model}, methods, percentiles, ds)
 
     def test_a_plain_value_error_inside_a_map_propagates(self, table_setup, monkeypatch):
         # numpy's broadcast errors are ValueErrors: only a MapError may read as N/A.
@@ -264,7 +256,7 @@ class TestCoverageTable:
 
         monkeypatch.setattr("fracmap.attribution.forward_values", broken)
         with pytest.raises(ValueError, match="broadcast") as info:
-            coverage_table({"m": model}, ["occlusion"], [85], ds, ds.annotations)
+            coverage_table({"m": model}, ["occlusion"], [85], ds)
         assert not isinstance(info.value, MapError)
 
     @pytest.mark.parametrize("method", ["saliency", "occlusion", "deeplift", "integrated_gradients"])
@@ -274,7 +266,7 @@ class TestCoverageTable:
         dead = m.with_params(
             {k: np.zeros_like(v) if k.endswith(".weight") else v for k, v in m.params.items()}
         )
-        report = coverage_table({"dead": dead}, [method], [85, 95], ds, ds.annotations)
+        report = coverage_table({"dead": dead}, [method], [85, 95], ds)
         assert len(report.rows) == 2
         for row in report.rows:
             assert row.coverage is None
@@ -291,7 +283,7 @@ class TestCoverageTable:
         weight = m.params["head.weight"].copy()
         weight[1] = 0.0
         model = m.with_params({**m.params, "head.weight": weight})
-        report = coverage_table({"m": model}, ["saliency"], [85], ds, ds.annotations)
+        report = coverage_table({"m": model}, ["saliency"], [85], ds)
         annotated = [i for i in ds.split_indices("test") if ds.ids[i] in ds.annotations]
         masks = [threshold_mask(saliency(model, ds.images[i], 0), 85) for i in annotated]
         entries = [ds.annotations.get(ds.ids[i]) for i in annotated]
@@ -303,7 +295,7 @@ class TestCoverageTable:
 
     def test_csv_output(self, table_setup, tmp_path):
         ds, model = table_setup
-        report = coverage_table({"m": model}, ["saliency"], [15, 95], ds, ds.annotations)
+        report = coverage_table({"m": model}, ["saliency"], [15, 95], ds)
         path = tmp_path / "cov.csv"
         report.to_csv(path)
         lines = path.read_text().strip().splitlines()

@@ -67,7 +67,7 @@ class TestCheckClasses:
             lambda m, ds: adv_train(m, ds, AttackConfig(), TrainConfig(epochs=1)),
             lambda m, ds: evaluate(m, ds, "test"),
             lambda m, ds: adv_accuracy(m, ds, "test", AttackConfig()),
-            lambda m, ds: coverage_table({"m": m}, ["saliency"], [85], ds, ds.annotations),
+            lambda m, ds: coverage_table({"m": m}, ["saliency"], [85], ds),
         ],
         ids=["train", "adv_train", "evaluate", "adv_accuracy", "coverage_table"],
     )

@@ -1,5 +1,8 @@
 """Synthetic corpus generation, its invariants, and the on-disk formats."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from fracmap.pgm import read_pgm, to_bytes_gray, to_unit, write_pgm
 from fracmap.synth import (
     FRACTURED,
     HEALTHY,
+    AnnotationSet,
     SynthConfig,
     generate_dataset,
     load_dataset,
@@ -102,6 +106,7 @@ class TestDiskFormat:
             (" label=healthy", "", "label= field"),
             (" split=train", "", "split= field"),
             (" split=train", " train", "key=value"),
+            (" split=train", " split=tset", "split='tset'"),
         ],
     )
     def test_malformed_image_row_names_manifest_line_and_field(self, tmp_path, old, new, named):
@@ -141,6 +146,16 @@ class TestDiskFormat:
             load_dataset(manifest)
         message = str(err.value)
         assert str(manifest) in message and "'img_0001' appears more than once" in message
+
+    def test_annotation_of_unknown_image_names_manifest_and_id(self, tmp_path):
+        manifest, ann = save_dataset(generate_dataset(seed=8, n=4, cfg=SMALL_CFG), tmp_path)
+        payload = json.loads(ann.read_text())
+        payload["entries"]["img_9999"] = [[1, 1]]
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        message = str(err.value)
+        assert str(manifest) in message and "'img_9999' is not in the dataset" in message
 
     @pytest.mark.parametrize(
         "file, text, named",
@@ -202,6 +217,21 @@ class TestDiskFormat:
         with pytest.raises(ValueError) as err:
             read_pgm(path)
         assert str(path) in str(err.value) and named in str(err.value)
+
+
+class TestDatasetChecks:
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate_dataset(seed=8, n=4, cfg=SMALL_CFG)
+
+    def test_unknown_annotation_id_rejected(self, ds):
+        entries = {**ds.annotations.entries, "img_9999": ((1, 1),)}
+        with pytest.raises(ValueError, match="annotated image 'img_9999' is not in the dataset"):
+            dataclasses.replace(ds, annotations=AnnotationSet(entries=entries))
+
+    def test_split_tag_outside_splits_rejected(self, ds):
+        with pytest.raises(ValueError, match="image 'img_0000' has split 'tset'"):
+            dataclasses.replace(ds, split=["tset"] + ds.split[1:])
 
 
 class TestBatches:

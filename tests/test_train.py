@@ -7,11 +7,10 @@ import pytest
 
 from fracmap.attack import AttackConfig
 from fracmap.autodiff import backward_batch, forward, forward_batch, row_parts
-from fracmap.coverage import AnnotationSet
 from fracmap.layers import GEMM_TILE
 from fracmap.loss import cross_entropy, cross_entropy_grad
 from fracmap.model import tiny_cnn
-from fracmap.synth import FRACTURED, HEALTHY, Dataset, generate_dataset
+from fracmap.synth import FRACTURED, HEALTHY, AnnotationSet, Dataset, generate_dataset
 from fracmap.tensor import Tensor
 from fracmap.train import DivergenceError, TrainConfig, _Adam, adv_train, evaluate, train
 

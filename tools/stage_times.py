@@ -162,7 +162,7 @@ def _stages(ds):
     atk = AttackConfig(**STAGE_ATTACK)
 
     def table():
-        return coverage_table(models, METHODS, PERCENTILES, ds, ds.annotations)
+        return coverage_table(models, METHODS, PERCENTILES, ds)
 
     na = [f"{r.model_id} {r.method} {r.percentile:g}: {r.reason}" for r in table().rows if r.coverage is None]
     if na:
